@@ -5,6 +5,7 @@ Jacobians and the specular basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,8 @@ from .engine import (BilliardEngine, PhaseState, Trajectory, TrajectoryStatus,
 from .errors import DegenerateBasisError, NonSmoothPointError
 
 BADSET_CHUNK = 1024
+# bounce cap of the bad-set tracer; a sample that reaches it counts as bad
+TRACE_MAX_BOUNCES = 500
 
 
 # -- cross-section frame and rings ----------------------------------------
@@ -173,19 +176,15 @@ class BadSetReport:
     breakdown: dict = field(default_factory=dict)
 
 
-def _sample_directions(seed, chunk_index, n, speed_band=None):
-    """Deterministic per-chunk direction (and speed) samples."""
+def _sample_directions(seed, chunk_index, n):
+    """Deterministic per-chunk unit direction samples."""
     rng = np.random.default_rng([int(seed), int(chunk_index)])
     g = rng.standard_normal((n, 3))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    if speed_band is not None:
-        lo, hi = speed_band
-        g *= rng.uniform(lo, hi, size=(n, 1))
     return g
 
 
-def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L,
-                     max_bounces=500, n_bisect=60):
+def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, n_bisect=60):
     """Vectorized backward tracer: minimum |n.v_hat| over bounces per sample.
 
     Returns (min_nd, n_bounces, stopped_inflection) arrays.  Near-tangential
@@ -280,89 +279,93 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L,
             # nudge off the boundary so the next march step starts inside
             pos[ci] = xb + 1e-9 * wr
             w[ci] = wr
-            hit_cap = ci[bounces[ci] >= max_bounces]
+            hit_cap = ci[bounces[ci] >= TRACE_MAX_BOUNCES]
             active[hit_cap] = False
             spent = ci[remaining[ci] <= 0.0]
             active[spent] = False
     return min_nd, bounces, stopped
 
 
+def _trace_samples(domain: ToroidalDomain, x, L, n_samples, seed):
+    """Sample n_samples directions in chunks of BADSET_CHUNK and trace each
+    once.  Returns (units, min_nd, bounces, stopped), one entry per sample;
+    deterministic given the seed."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    chunks = []
+    for c0 in range(0, n_samples, BADSET_CHUNK):
+        m = min(BADSET_CHUNK, n_samples - c0)
+        dirs = _sample_directions(seed, c0 // BADSET_CHUNK, m)
+        units = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        chunks.append((units, *_trace_min_graze(domain, x, dirs, L)))
+    return tuple(np.concatenate(col) for col in zip(*chunks))
+
+
+def _badset_row(domain: ToroidalDomain, x, samples, delta, ring_specs):
+    """Bad-set fraction at threshold delta over traced samples.
+
+    A sample is bad when its backward run comes within delta of grazing,
+    stops at an inflection tangency, reaches TRACE_MAX_BOUNCES, or its
+    direction falls in any of ring_specs.
+    """
+    units, min_nd, bounces, stopped = samples
+    n = len(min_nd)
+    grz = min_nd < delta
+    capped = bounces >= TRACE_MAX_BOUNCES
+    ring = np.zeros(n, dtype=bool)
+    for flag in ring_membership(domain, x, units, ring_specs):
+        ring |= flag
+    frac = int(np.count_nonzero(grz | stopped | capped | ring)) / n
+    return {"delta": float(delta), "fraction": frac,
+            "ci95": 1.96 * math.sqrt(max(frac * (1.0 - frac), 1.0 / n) / n),
+            "near_grazing": int(np.count_nonzero(grz)),
+            "ring_excluded": int(np.count_nonzero(ring)),
+            "stopped_at_inflection": int(np.count_nonzero(stopped)),
+            "max_bounces": int(np.count_nonzero(capped))}
+
+
 def badset_measure(engine: BilliardEngine, x, phi, eps_graze, L, n_samples,
-                   seed, speed_band=None, ring_specs=None) -> BadSetReport:
+                   seed, *, ring_specs=None) -> BadSetReport:
     """Monte Carlo estimate of the bad-direction measure at base point x.
 
-    Uniform directions on the sphere; a sample is bad when its backward run
-    of length L comes within eps_graze of grazing, stops at an inflection
-    tangency, or (when ring_specs given) its direction falls in a ring.
-    Deterministic given the seed, independent of chunking.
+    Uniform directions on the sphere; a sample is bad as in badset_scan,
+    with the given ring_specs in place of ring kinds.
     """
     x = np.asarray(x, dtype=float)
     n_samples = int(n_samples)
-    n_bad = 0
-    breakdown = {"near_grazing": 0, "ring_excluded": 0,
-                 "stopped_at_inflection": 0, "max_bounces": 0}
-    dom = engine.domain
-    for c0 in range(0, n_samples, BADSET_CHUNK):
-        m = min(BADSET_CHUNK, n_samples - c0)
-        dirs = _sample_directions(seed, c0 // BADSET_CHUNK, m, speed_band)
-        min_nd, bounces, stopped = _trace_min_graze(dom, x, dirs, L)
-        grz = min_nd < eps_graze
-        capped = bounces >= 500
-        ring = np.zeros(m, dtype=bool)
-        if ring_specs:
-            units = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-            for flag in ring_membership(dom, x, units, ring_specs):
-                ring |= flag
-        bad = grz | stopped | capped | ring
-        n_bad += int(bad.sum())
-        breakdown["near_grazing"] += int(grz.sum())
-        breakdown["ring_excluded"] += int(ring.sum())
-        breakdown["stopped_at_inflection"] += int(stopped.sum())
-        breakdown["max_bounces"] += int(capped.sum())
-    frac = n_bad / n_samples
-    ci95 = 1.96 * np.sqrt(max(frac * (1.0 - frac), 1.0 / n_samples) / n_samples)
+    samples = _trace_samples(engine.domain, x, L, n_samples, seed)
+    row = _badset_row(engine.domain, x, samples, eps_graze, ring_specs or ())
+    breakdown = {k: row[k] for k in ("near_grazing", "ring_excluded",
+                                     "stopped_at_inflection", "max_bounces")}
     return BadSetReport(x=x, phi=float(phi), epsilon_graze=float(eps_graze),
-                        L=float(L), n_samples=n_samples, fraction=frac,
-                        ci95=ci95, breakdown=breakdown)
+                        L=float(L), n_samples=n_samples,
+                        fraction=row["fraction"], ci95=row["ci95"],
+                        breakdown=breakdown)
 
 
 def badset_scan(engine: BilliardEngine, x, phi, deltas, L, n_samples, seed,
                 speed_band=None, ring_kinds=(), tau_ref=None):
-    """Bad-set fractions at several thresholds delta from one sample stream.
+    """Bad-set rows at several thresholds delta from one traced sample set.
 
-    A sample is bad at threshold delta when its trajectory comes within
-    delta of grazing at a bounce, stops at an inflection tangency, or its
-    direction falls in any of the requested ring exclusions with half-width
-    delta (``ring_kinds`` from RingSpec.KINDS; 'angular-momentum' needs
-    ``tau_ref``).
+    A sample is bad at threshold delta when its backward run of length L
+    comes within delta of grazing at a bounce, stops at an inflection
+    tangency, reaches TRACE_MAX_BOUNCES bounces, or its direction falls in
+    any of the requested ring exclusions with half-width delta
+    (``ring_kinds`` from RingSpec.KINDS; 'angular-momentum' needs
+    ``tau_ref``).  Each row holds delta, fraction, ci95 and the counts
+    near_grazing, ring_excluded, stopped_at_inflection and max_bounces.
+    ``speed_band`` must be None: samples are unit directions.
     """
+    if speed_band is not None:
+        raise ValueError("speed_band must be None: samples are unit directions")
     x = np.asarray(x, dtype=float)
-    n_samples = int(n_samples)
-    dom = engine.domain
-    mins, stops, unit_list = [], [], []
-    for c0 in range(0, n_samples, BADSET_CHUNK):
-        m = min(BADSET_CHUNK, n_samples - c0)
-        dirs = _sample_directions(seed, c0 // BADSET_CHUNK, m, speed_band)
-        min_nd, _, stopped = _trace_min_graze(dom, x, dirs, L)
-        mins.append(min_nd)
-        stops.append(stopped)
-        unit_list.append(dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
-    min_nd = np.concatenate(mins)
-    stopped = np.concatenate(stops)
-    units = np.concatenate(unit_list)
+    samples = _trace_samples(engine.domain, x, L, int(n_samples), seed)
     rows = []
     for d in deltas:
-        bad = (min_nd < d) | stopped
-        if ring_kinds:
-            specs = [RingSpec(kind=k, epsilon=float(d),
-                              tau_ref=tau_ref if k == "angular-momentum" else None)
-                     for k in ring_kinds]
-            for flag in ring_membership(dom, x, units, specs):
-                bad |= flag
-        frac = float(np.count_nonzero(bad)) / n_samples
-        ci = 1.96 * np.sqrt(max(frac * (1 - frac), 1.0 / n_samples) / n_samples)
-        rows.append({"delta": float(d), "fraction": frac, "ci95": ci,
-                     "near_grazing": int(np.count_nonzero(min_nd < d))})
+        specs = [RingSpec(kind=k, epsilon=float(d),
+                          tau_ref=tau_ref if k == "angular-momentum" else None)
+                 for k in ring_kinds]
+        rows.append(_badset_row(engine.domain, x, samples, d, specs))
     return rows
 
 

@@ -2,8 +2,8 @@
 
 Subcommands: simulate, classify-boundary, inflection-map, badset, jacobian,
 recurrence-check, coords-check.  Configuration comes from a JSON file
-(--config); --seed, --workers and --out override it, as do environment
-variables with the TORUS_BILLIARDS_ prefix (TORUS_BILLIARDS_SEED, ...).
+(--config); --seed and --out override it, as do environment variables with
+the TORUS_BILLIARDS_ prefix (TORUS_BILLIARDS_SEED, ...) for unset flags.
 Every emitted file begins with a metadata record carrying the tool version,
 a hash of the effective configuration and the seed, so identical inputs
 produce byte-identical outputs.
@@ -218,29 +218,22 @@ def cmd_badset(cfg, args):
         block["length"] = args.length
     if args.samples is not None:
         block["samples"] = args.samples
-    if args.speed_band is not None:
-        block["speed_band"] = [float(c) for c in args.speed_band.split(",")]
     if "x" not in block:
         raise ConfigError("badset requires a base point x")
     eps = block.get("eps", [0.01])
     if np.isscalar(eps):
         eps = [float(eps)]
+    cfg = dict(cfg, badset=block)
     engine = build_engine(cfg)
+    rows = analysis.badset_scan(
+        engine, np.asarray(block["x"], dtype=float),
+        float(block.get("phi", 0.0)), [float(d) for d in eps],
+        float(block.get("length", 10.0)), int(block.get("samples", 1000)),
+        cfg["seed"])
     lines = ["# " + json.dumps(meta_record(cfg), sort_keys=True),
              "delta,fraction,ci95,near_grazing,ring_excluded,"
              "stopped_at_inflection,max_bounces"]
-    for d in eps:
-        rep = analysis.badset_measure(
-            engine, np.asarray(block["x"], dtype=float),
-            float(block.get("phi", 0.0)), float(d),
-            float(block.get("length", 10.0)),
-            int(block.get("samples", 1000)), cfg["seed"],
-            speed_band=block.get("speed_band"))
-        b = rep.breakdown
-        lines.append(
-            f"{_csv(float(d))},{_csv(rep.fraction)},{_csv(rep.ci95)},"
-            f"{b['near_grazing']},{b['ring_excluded']},"
-            f"{b['stopped_at_inflection']},{b['max_bounces']}")
+    lines += [",".join(_csv(val) for val in row.values()) for row in rows]
     emit(lines, args.out)
     return 0
 
@@ -259,6 +252,7 @@ def cmd_jacobian(cfg, args):
     for key in ("t", "x", "v", "s"):
         if key not in block:
             raise ConfigError(f"jacobian requires {key}")
+    cfg = dict(cfg, jacobian=block)
     engine = build_engine(cfg)
     res = analysis.jacobian_det(engine, float(block["t"]),
                                 np.asarray(block["x"], dtype=float),
@@ -321,8 +315,6 @@ def build_parser():
         description="Billiard dynamics in solid-torus domains of revolution.")
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker pool size for Monte Carlo subcommands")
     p.add_argument("--out", help="output path (default: stdout)")
     sub = p.add_subparsers(dest="cmd", required=True)
     for name in ("simulate", "classify-boundary", "inflection-map",
@@ -334,8 +326,6 @@ def build_parser():
     pb.add_argument("--eps", help="grazing threshold(s), comma separated")
     pb.add_argument("--length", type=float)
     pb.add_argument("--samples", type=int)
-    pb.add_argument("--speed-band", dest="speed_band",
-                    help="lo,hi speed band")
     pj = sub.add_parser("jacobian")
     pj.add_argument("--state", help="t,x1,x2,x3,v1,v2,v3")
     pj.add_argument("--s", type=float)
@@ -355,11 +345,10 @@ HANDLERS = {
 
 
 def _apply_env(args):
-    for name, cast in (("CONFIG", str), ("SEED", int), ("WORKERS", int),
-                       ("OUT", str)):
+    for name, cast in (("CONFIG", str), ("SEED", int), ("OUT", str)):
         val = os.environ.get(ENV_PREFIX + name)
         attr = name.lower()
-        if val is not None and getattr(args, attr, None) in (None, 1):
+        if val is not None and getattr(args, attr) is None:
             try:
                 setattr(args, attr, cast(val))
             except ValueError:

@@ -252,6 +252,22 @@ class BilliardEngine:
 
     # -- cycles -----------------------------------------------------------
 
+    def _graze_stop(self, x_b, v, direction):
+        """(grazing class, stop status or None) of a tangential phase at the
+        boundary point x_b; an ambiguous class stops as GRAZING_AMBIGUOUS."""
+        try:
+            g = grazing.classify(self.domain, x_b, v, self.graze_threshold)
+        except GrazingAmbiguousError:
+            return (grazing.GrazingClass.NON_GRAZING,
+                    TrajectoryStatus.GRAZING_AMBIGUOUS)
+        if g is grazing.GrazingClass.CONVEX:
+            return g, TrajectoryStatus.STUCK_CONVEX_GRAZING
+        if g is grazing.GrazingClass.INFLECTION_MINUS and direction < 0:
+            return g, TrajectoryStatus.STOPPED_AT_INFLECTION_MINUS
+        if g is grazing.GrazingClass.INFLECTION_PLUS and direction > 0:
+            return g, TrajectoryStatus.STOPPED_AT_INFLECTION_PLUS
+        return g, None
+
     def _run(self, state: PhaseState, length, direction, max_bounces, phi0):
         dom = self.domain
         x = state.x.copy()
@@ -278,26 +294,9 @@ class BilliardEngine:
             n = dom.unit_normal_at(x)
             nd = float(np.dot(n, v)) / speed0
             if abs(nd) < self.graze_threshold:
-                try:
-                    g = grazing.classify(dom, x, v, self.graze_threshold)
-                except GrazingAmbiguousError:
-                    g = None
-                if g is None:
-                    status = TrajectoryStatus.GRAZING_AMBIGUOUS
-                elif g is grazing.GrazingClass.CONVEX:
-                    status = TrajectoryStatus.STUCK_CONVEX_GRAZING
-                elif (g is grazing.GrazingClass.INFLECTION_MINUS
-                      and direction < 0):
-                    status = TrajectoryStatus.STOPPED_AT_INFLECTION_MINUS
-                elif (g is grazing.GrazingClass.INFLECTION_PLUS
-                      and direction > 0):
-                    status = TrajectoryStatus.STOPPED_AT_INFLECTION_PLUS
-                if status is not TrajectoryStatus.COMPLETED:
-                    traj.status = status
-                    traj.end_state = PhaseState(x, v, t)
-                    traj.phi_end = phi
-                    traj.diagnostics = {"speed_drift": 0.0, "omega_drift": 0.0}
-                    return traj
+                _, stop = self._graze_stop(x, v, direction)
+                if stop is not None:
+                    status, remaining = stop, 0.0
             elif nd * direction > 0.0:
                 # immediate exit in the travel direction: zero-length chord,
                 # reflect in place (sup-empty-set convention)
@@ -329,23 +328,9 @@ class BilliardEngine:
             nd = float(np.dot(n, v)) / speed0
             remaining -= s * speed0
             t += direction * s
-            graze_cls = grazing.GrazingClass.NON_GRAZING
-            stop = None
+            graze_cls, stop = grazing.GrazingClass.NON_GRAZING, None
             if abs(nd) < self.graze_threshold:
-                try:
-                    graze_cls = grazing.classify(dom, sp.xyz, v,
-                                                 self.graze_threshold)
-                except GrazingAmbiguousError:
-                    stop = TrajectoryStatus.GRAZING_AMBIGUOUS
-                if stop is None:
-                    if graze_cls is grazing.GrazingClass.CONVEX:
-                        stop = TrajectoryStatus.STUCK_CONVEX_GRAZING
-                    elif (graze_cls is grazing.GrazingClass.INFLECTION_MINUS
-                          and direction < 0):
-                        stop = TrajectoryStatus.STOPPED_AT_INFLECTION_MINUS
-                    elif (graze_cls is grazing.GrazingClass.INFLECTION_PLUS
-                          and direction > 0):
-                        stop = TrajectoryStatus.STOPPED_AT_INFLECTION_PLUS
+                graze_cls, stop = self._graze_stop(sp.xyz, v, direction)
             v_out = v if stop is not None else self._reflect_at(sp.tau, sp.phi, v)
             k += 1
             traj.events.append(BounceEvent(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import torus_billiards as tb
+from torus_billiards import analysis
 from torus_billiards.analysis import _sample_directions, _trace_min_graze
 
 from conftest import random_interior_states
@@ -176,6 +177,43 @@ def test_badset_scan_monotone(circle_engine):
                           ring_kinds=("perp",))
     assert rows[0]["fraction"] >= rows[1]["fraction"]
     assert rows[0]["near_grazing"] >= rows[1]["near_grazing"]
+
+
+@pytest.mark.parametrize("ring_kinds", [(), ("perp", "angular-momentum")])
+def test_badset_scan_rows_match_measure(circle_engine, ring_kinds):
+    x, tau_ref = [2.6, 0.0, 0.4], 2 * np.pi / 3
+    deltas = [0.3, 0.1, 0.02]
+    rows = tb.badset_scan(circle_engine, x, 0.0, deltas, 5.0, 1100, 3,
+                          ring_kinds=ring_kinds, tau_ref=tau_ref)
+    assert [r["delta"] for r in rows] == deltas
+    assert rows[0]["near_grazing"] > 0
+    for d, row in zip(deltas, rows):
+        specs = [tb.RingSpec(k, d, tau_ref if k == "angular-momentum"
+                             else None) for k in ring_kinds]
+        rep = tb.badset_measure(circle_engine, x, 0.0, d, 5.0, 1100, 3,
+                                ring_specs=specs)
+        assert row["fraction"] == rep.fraction
+        assert row["ci95"] == rep.ci95
+        assert {k: row[k] for k in rep.breakdown} == rep.breakdown
+        assert (row["ring_excluded"] > 0) == bool(ring_kinds)
+
+
+def test_badset_scan_counts_capped_samples(circle_engine, monkeypatch):
+    monkeypatch.setattr(analysis, "TRACE_MAX_BOUNCES", 3)
+    # no chord of the torus is longer than 6, so every run of length 20
+    # reaches the cap
+    rows = tb.badset_scan(circle_engine, [2.0, 0.0, 0.0], 0.0, [1e-9],
+                          20.0, 200, 1)
+    row = rows[0]
+    assert row["near_grazing"] == 0
+    assert row["max_bounces"] == 200
+    assert row["fraction"] == 1.0
+
+
+def test_badset_scan_rejects_speed_band(circle_engine):
+    with pytest.raises(ValueError):
+        tb.badset_scan(circle_engine, [2.0, 0.0, 0.0], 0.0, [0.1], 1.0, 8, 0,
+                       (0.5, 3.0))
 
 
 # -- Jacobians -------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from torus_billiards import analysis
 from torus_billiards.cli import main, load_config, config_hash, ConfigError
 
 SQRT3 = np.sqrt(3.0)
@@ -183,9 +184,48 @@ def test_badset_flags_and_determinism(tmp_path):
     lines = text1.strip().split("\n")
     assert lines[1].startswith("delta,fraction,ci95")
     assert len(lines) == 4
+    for row in lines[2:]:
+        cols = row.split(",")
+        floats = [float(c) for c in cols[:3]]   # fails on a numpy repr
+        counts = [int(c) for c in cols[3:]]
+        assert len(counts) == 4 and floats[2] > 0.0
     d1 = float(lines[2].split(",")[1])
     d2 = float(lines[3].split(",")[1])
     assert d1 >= d2   # larger threshold, larger bad fraction
+
+
+def test_badset_traces_each_sample_once(tmp_path, monkeypatch):
+    calls = []
+    trace = analysis._trace_min_graze
+
+    def counting(domain, x0, dirs, L):
+        calls.append(len(dirs))
+        return trace(domain, x0, dirs, L)
+
+    monkeypatch.setattr(analysis, "_trace_min_graze", counting)
+    code, text = run(tmp_path, {}, ["badset", "--x", "2,0,0",
+                                    "--eps", "0.02,0.01,0.005",
+                                    "--length", "2", "--samples", "2000"])
+    assert code == 0
+    assert len(text.strip().split("\n")) == 2 + 3
+    assert calls == [1024, 976]     # ceil(2000 / BADSET_CHUNK) chunks
+
+
+def _meta_hash(text):
+    return json.loads(text.split("\n")[0].lstrip("# "))["config_hash"]
+
+
+def test_config_hash_tracks_flag_overrides(tmp_path):
+    badset = ["badset", "--x", "2,0,0", "--length", "1", "--samples", "16"]
+    _, a = run(tmp_path, {}, badset + ["--eps", "0.02"], name="a.csv")
+    _, b = run(tmp_path, {}, badset + ["--eps", "0.05"], name="b.csv")
+    _, c = run(tmp_path, {}, badset + ["--eps", "0.02"], name="c.csv")
+    assert _meta_hash(a) != _meta_hash(b)
+    assert _meta_hash(a) == _meta_hash(c)
+    jac = ["jacobian", "--state", "1,2,0,0,0.3,0.2,0.1"]
+    _, d = run(tmp_path, {}, jac + ["--s", "-1"], name="d.json")
+    _, e = run(tmp_path, {}, jac + ["--s", "-0.5"], name="e.json")
+    assert _meta_hash(d) != _meta_hash(e)
 
 
 def test_badset_requires_base_point(tmp_path):
@@ -208,6 +248,9 @@ def test_seed_env_override(tmp_path, monkeypatch):
     code, text = run(tmp_path, {}, argv)
     assert code == 0
     assert json.loads(text.split("\n")[0][2:])["seed"] == 99
+    code, text = run(tmp_path, {}, ["--seed", "1"] + argv)
+    assert code == 0
+    assert json.loads(text.split("\n")[0][2:])["seed"] == 1
 
 
 # -- coords-check ----------------------------------------------------------
