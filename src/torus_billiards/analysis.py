@@ -12,9 +12,9 @@ import numpy as np
 
 from . import grazing
 from .domain import ToroidalDomain
-from .engine import (BilliardEngine, PhaseState, Trajectory, TrajectoryStatus,
-                     angular_momentum)
-from .errors import DegenerateBasisError, NonSmoothPointError
+from .engine import (XI_ROOT_TOL, BilliardEngine, PhaseState, Trajectory,
+                     TrajectoryStatus, angular_momentum)
+from .errors import DegenerateBasisError, NonSmoothPointError, NumericsError
 
 BADSET_CHUNK = 1024
 # bounce cap of the bad-set tracer; a sample that reaches it counts as bad
@@ -184,7 +184,40 @@ def _sample_directions(seed, chunk_index, n):
     return g
 
 
-def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, n_bisect=60):
+def _polish_exits(domain: ToroidalDomain, base, w, lo, hi):
+    """Roots s of xi(base + s w) in the brackets [lo, hi], one per ray.
+
+    The batched form of ``BilliardEngine._refine_root``: safeguarded Newton
+    from the bracket midpoint, bisecting when a step leaves the bracket,
+    until |xi| <= XI_ROOT_TOL on each ray; only unconverged rays are
+    evaluated again.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    s = 0.5 * (lo + hi)
+    out = np.empty_like(s)
+    act = np.arange(len(s))
+    for _ in range(80):
+        p = base[act] + s[:, None] * w[act]
+        f = domain.xi(p)
+        above = f > 0.0
+        hi[act] = np.where(above, s, hi[act])
+        lo[act] = np.where(above, lo[act], s)
+        slope = np.einsum("ij,ij->i", domain.grad_xi(p), w[act])
+        safe = np.where(slope != 0.0, slope, 1.0)
+        s_new = np.where(slope != 0.0, s - f / safe, s)
+        l, h = lo[act], hi[act]
+        done = np.abs(f) <= XI_ROOT_TOL
+        out[act[done]] = np.where((l <= s_new) & (s_new <= h), s_new, s)[done]
+        s_new = np.where((l < s_new) & (s_new < h), s_new, 0.5 * (l + h))
+        keep = ~done
+        act, s = act[keep], s_new[keep]
+        if not act.size:
+            return out
+    raise NumericsError(f"exit-time polish stalled at s = {s[0]:.6e}")
+
+
+def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L):
     """Vectorized backward tracer: minimum |n.v_hat| over bounces per sample.
 
     Returns (min_nd, n_bounces, stopped_inflection) arrays.  Near-tangential
@@ -253,12 +286,7 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, n_bisect=60):
                     lo[q], hi[q] = blip_lo[int(lq)]
             base = pos[ci]
             wv = w[ci]
-            for _ in range(n_bisect):
-                mid = 0.5 * (lo + hi)
-                inside = domain.xi(base + mid[:, None] * wv) <= 0.0
-                lo = np.where(inside, mid, lo)
-                hi = np.where(inside, hi, mid)
-            sb = 0.5 * (lo + hi)
+            sb = _polish_exits(domain, base, wv, lo, hi)
             xb = base + sb[:, None] * wv
             nrm = domain.grad_xi(xb)
             nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
@@ -289,7 +317,19 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, n_bisect=60):
 def _trace_samples(domain: ToroidalDomain, x, L, n_samples, seed):
     """Sample n_samples directions in chunks of BADSET_CHUNK and trace each
     once.  Returns (units, min_nd, bounces, stopped), one entry per sample;
-    deterministic given the seed."""
+    deterministic given the seed.
+
+    Raises ValueError unless x is a finite point of the closed domain, L is
+    finite and positive and n_samples is positive.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,) or not np.all(np.isfinite(x)):
+        raise ValueError(
+            f"base point must be 3 finite coordinates, got {x.tolist()}")
+    if not domain.xi(x) <= 0.0:
+        raise ValueError(f"base point {x.tolist()} lies outside the domain")
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"length must be finite and positive, got {L}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     chunks = []
@@ -308,6 +348,9 @@ def _badset_row(domain: ToroidalDomain, x, samples, delta, ring_specs):
     stops at an inflection tangency, reaches TRACE_MAX_BOUNCES, or its
     direction falls in any of ring_specs.
     """
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(
+            f"threshold delta must be finite and positive, got {delta}")
     units, min_nd, bounces, stopped = samples
     n = len(min_nd)
     grz = min_nd < delta

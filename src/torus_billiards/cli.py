@@ -8,8 +8,8 @@ Every emitted file begins with a metadata record carrying the tool version,
 a hash of the effective configuration and the seed, so identical inputs
 produce byte-identical outputs.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure,
-3 identity-suite failure.
+Exit codes: 0 success, 1 configuration error or invalid input, 2 numeric
+failure, 3 identity-suite failure.
 """
 
 from __future__ import annotations
@@ -376,6 +376,9 @@ def main(argv=None):
     except TorusBilliardsError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
+    except ValueError as e:
+        print(f"invalid input: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

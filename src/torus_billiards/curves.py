@@ -144,15 +144,19 @@ class CurveMarkers:
 
 
 def _scan_zeros(fn, lo, hi, n):
-    """All simple zeros of fn on [lo, hi) by dense scan + brentq."""
+    """All simple zeros of fn on [lo, hi) by dense scan + brentq.
+
+    fn must accept an array of parameters (the scan is one call) as well as
+    a scalar (each sign change is polished by brentq).
+    """
     ts = np.linspace(lo, hi, n + 1)
-    vals = np.array([fn(t) for t in ts])
+    vals = np.asarray(fn(ts), dtype=float)
+    v0, v1 = vals[:-1], vals[1:]
     zeros = []
-    for i in range(n):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
+    for i in np.nonzero((v0 == 0.0) | (v0 * v1 < 0.0))[0]:
+        if v0[i] == 0.0:
             zeros.append(ts[i])
-        elif v0 * v1 < 0.0:
+        else:
             zeros.append(brentq(fn, ts[i], ts[i + 1], xtol=1e-14, rtol=1e-15))
     return zeros
 
@@ -167,10 +171,10 @@ def find_markers(curve: ProfileCurve, n_grid=DEFAULT_SCAN_POINTS) -> CurveMarker
     a, b = curve.period
 
     def g2p(t):
-        return float(curve.deriv1(t)[1])
+        return curve.deriv1(t)[..., 1]
 
     def g1p(t):
-        return float(curve.deriv1(t)[0])
+        return curve.deriv1(t)[..., 0]
 
     zeros2 = _scan_zeros(g2p, a, b, n_grid)
     if len(zeros2) != 2:
@@ -227,7 +231,7 @@ def zero_set_h(curve: ProfileCurve, markers: CurveMarkers,
     t1 = markers.tau1_star
     span = markers.inner_span
     eps = 1e-7 * span
-    zeros = _scan_zeros(lambda t: float(h_value(curve, markers, t)),
+    zeros = _scan_zeros(lambda t: h_value(curve, markers, t),
                         t1 + eps, t1 + span - eps, n_grid)
     return [float(curve.wrap(z)) for z in zeros]
 

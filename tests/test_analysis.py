@@ -4,8 +4,10 @@ import pytest
 import torus_billiards as tb
 from torus_billiards import analysis
 from torus_billiards.analysis import _sample_directions, _trace_min_graze
+from torus_billiards.engine import XI_ROOT_TOL
 
 from conftest import random_interior_states
+from oracles import bisect_exits
 
 TWO_PI = 2.0 * np.pi
 SQRT3 = np.sqrt(3.0)
@@ -148,6 +150,71 @@ def test_tracer_matches_engine(circle_domain, circle_engine):
         assert bounces[i] == len(traj.events)
 
 
+# (domain fixture, base point, samples, L): the quadric, the generic circle
+# and the arc-length ellipse
+TRACER_CASES = [("circle_domain", [2.0, 0.0, 0.0], 256, 8.0),
+                ("generic_circle_domain", [2.0, 0.0, 0.0], 64, 4.0),
+                ("ellipse_domain", [3.0, 0.0, 0.0], 8, 3.0)]
+
+
+@pytest.mark.parametrize("fixture,x,n,L", TRACER_CASES)
+def test_tracer_matches_bisection_oracle(request, monkeypatch, fixture, x, n,
+                                        L):
+    """The Newton exit polish leaves the tracer's outputs where the 60-step
+    bisection put them: same bounces and stops, min_nd to 1e-12."""
+    domain = request.getfixturevalue(fixture)
+    x = np.array(x)
+    dirs = _sample_directions(5, 0, n)
+    min_nd, bounces, stopped = _trace_min_graze(domain, x, dirs, L)
+    monkeypatch.setattr(analysis, "_polish_exits", bisect_exits)
+    ref_nd, ref_bounces, ref_stopped = _trace_min_graze(domain, x, dirs, L)
+    assert np.array_equal(bounces, ref_bounces)
+    assert np.array_equal(stopped, ref_stopped)
+    assert bounces.sum() > n
+    assert np.array_equal(np.isinf(min_nd), np.isinf(ref_nd))
+    fin = np.isfinite(ref_nd)
+    assert np.abs(min_nd[fin] - ref_nd[fin]).max() <= 1e-12
+
+
+def _exit_brackets(domain, base, dirs, h=0.05, m=120):
+    """(lo, hi) grid brackets of the first exit along each ray."""
+    s = h * np.arange(m + 1)
+    lo, hi = [], []
+    for b, w in zip(base, dirs):
+        k = int(np.argmax(domain.xi(b + s[:, None] * w) > 0.0))
+        assert k > 0
+        lo.append(s[k - 1])
+        hi.append(s[k])
+    return np.array(lo), np.array(hi)
+
+
+@pytest.mark.parametrize("fixture,x", [("circle_domain", [2.0, 0.0, 0.0]),
+                                       ("ellipse_domain", [3.0, 0.0, 0.0])])
+def test_polish_exits_matches_engine_refine_root(request, fixture, x):
+    domain = request.getfixturevalue(fixture)
+    engine = tb.BilliardEngine(domain)
+    dirs = _sample_directions(9, 0, 24)
+    base = np.tile(x, (len(dirs), 1))
+    # one shallow exit (|n.w| of a few hundredths) just below the top of
+    # the tube
+    top = domain.profile.eval(domain.markers.tau1_star)
+    base = np.vstack([base, [top[0], 0.0, top[1] - 1e-3]])
+    dirs = np.vstack([dirs, [1.0, 0.0, 0.0]])
+    lo, hi = _exit_brackets(domain, base, dirs)
+    got = analysis._polish_exits(domain, base, dirs, lo, hi)
+    ref = np.array([engine._refine_root(b, w, a, c)
+                    for b, w, a, c in zip(base, dirs, lo, hi)])
+    assert np.abs(got - ref).max() <= 1e-12
+    assert np.abs(domain.xi(base + got[:, None] * dirs)).max() <= XI_ROOT_TOL
+
+
+def test_polish_exits_raises_without_root(circle_domain):
+    base = np.array([[4.0, 0.0, 0.0]])   # outside: no root on the bracket
+    w = np.array([[1.0, 0.0, 0.0]])
+    with pytest.raises(tb.NumericsError):
+        analysis._polish_exits(circle_domain, base, w, [0.0], [1.0])
+
+
 def test_badset_measure_deterministic(circle_engine):
     kw = dict(x=[2.0, 0.0, 0.0], phi=0.0, eps_graze=0.05, L=5.0,
               n_samples=1500, seed=7)
@@ -214,6 +281,21 @@ def test_badset_scan_rejects_speed_band(circle_engine):
     with pytest.raises(ValueError):
         tb.badset_scan(circle_engine, [2.0, 0.0, 0.0], 0.0, [0.1], 1.0, 8, 0,
                        (0.5, 3.0))
+
+
+@pytest.mark.parametrize("x,L,delta", [
+    ([9.0, 0.0, 0.0], 4.0, 0.05),        # base point outside the domain
+    ([np.nan, 0.0, 0.0], 4.0, 0.05),
+    ([2.0, 0.0, 0.0], np.nan, 0.05),
+    ([2.0, 0.0, 0.0], 0.0, 0.05),
+    ([2.0, 0.0, 0.0], 4.0, -1.0),
+    ([2.0, 0.0, 0.0], 4.0, np.inf),
+])
+def test_badset_rejects_invalid_inputs(circle_engine, x, L, delta):
+    with pytest.raises(ValueError):
+        tb.badset_scan(circle_engine, x, 0.0, [delta], L, 16, 0)
+    with pytest.raises(ValueError):
+        tb.badset_measure(circle_engine, x, 0.0, delta, L, 16, 0)
 
 
 # -- Jacobians -------------------------------------------------------------

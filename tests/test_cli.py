@@ -253,6 +253,30 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert json.loads(text.split("\n")[0][2:])["seed"] == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--x", "9,0,0"],          # outside the domain: was fraction 1.0, exit 0
+    ["--x", "nan,0,0"],        # was fraction 0.0, exit 0
+    ["--eps", "-1"],           # was accepted
+    ["--samples", "0"],        # was a traceback
+    ["--length", "nan"],       # was an endless march
+], ids=["outside", "nan-x", "negative-eps", "zero-samples", "nan-length"])
+def test_badset_invalid_input_exit_code(tmp_path, monkeypatch, capsys, flags):
+    def never(*args):
+        raise AssertionError("traced a run of invalid length")
+
+    if "--length" in flags:
+        # the length is checked before any sample is traced, so a NaN
+        # length cannot start the march that never ends
+        monkeypatch.setattr(analysis, "_trace_min_graze", never)
+    argv = ["badset", "--x", "2,0,0", "--eps", "0.05", "--length", "4",
+            "--samples", "64"] + flags
+    code, text = run(tmp_path, {}, argv)
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
 # -- coords-check ----------------------------------------------------------
 
 

@@ -3,7 +3,10 @@ import pytest
 from scipy.special import ellipe
 
 import torus_billiards as tb
+from torus_billiards import curves
 from torus_billiards.curves import ProfileCurve, ParametricCurve, h_value, zero_set_h
+
+from oracles import scan_zeros_scalar
 
 TWO_PI = 2.0 * np.pi
 
@@ -105,6 +108,35 @@ def test_ellipse_markers_symmetry():
     assert g[0, 1] == pytest.approx(1.0, abs=1e-8)    # top: gamma2 = semi_z
     assert g[1, 1] == pytest.approx(-1.0, abs=1e-8)   # bottom
     assert g[2, 0] == pytest.approx(1.0, abs=1e-8)    # innermost: center-semi_x
+
+
+def _sampled_circle():
+    t = np.linspace(0, TWO_PI, 64, endpoint=False)
+    pts = np.stack([2.0 + np.cos(t), np.sin(t)], axis=-1)
+    return tb.curve_from_samples(pts)
+
+
+# the scalar oracle costs about 0.5 ms a point on the arc-length curves,
+# so those two scan a coarser grid
+@pytest.mark.parametrize("make,n_grid", [
+    (lambda: tb.circle_generator(2.0, 1.0), curves.DEFAULT_SCAN_POINTS),
+    (lambda: tb.ellipse_generator(3.0, 2.0, 1.0), 1024),
+    (_sampled_circle, 1024)], ids=["circle", "ellipse", "samples"])
+def test_find_markers_matches_scalar_scan(monkeypatch, make, n_grid):
+    curve = make()
+    fast = tb.find_markers(curve, n_grid)
+    monkeypatch.setattr(curves, "_scan_zeros", scan_zeros_scalar)
+    assert tb.find_markers(curve, n_grid) == fast     # bit-identical fields
+
+
+def test_find_markers_scans_in_array_calls():
+    curve = tb.ellipse_generator(3.0, 2.0, 1.0)
+    calls = []
+    deriv1 = curve.deriv1
+    curve.deriv1 = lambda tau: calls.append(np.size(tau)) or deriv1(tau)
+    tb.find_markers(curve)
+    assert len(calls) < 100       # one call per scan, plus brentq polishing
+    assert max(calls) == curves.DEFAULT_SCAN_POINTS + 1
 
 
 def test_h_sign_change_circle():

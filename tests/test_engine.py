@@ -258,6 +258,23 @@ def test_engine_on_ellipse(ellipse_domain):
     assert np.allclose(bk.end_state.v, v, atol=1e-6)
 
 
+def test_ellipse_creep_chord_without_bounce(ellipse_domain):
+    """A creep start that legitimately bounces nowhere within length 3: it
+    leaves the boundary at |n.v| = 0.018 and meets it again after 6.226."""
+    eng = tb.BilliardEngine(ellipse_domain)
+    x = np.array([1.8105028306771498, 1.1525701136484396, 0.9043078528920818])
+    v = np.array([-0.9476398091660866, 0.26851308405626306,
+                  -0.17285692284157114])
+    traj = eng.forward_cycles(tb.PhaseState(x, v, 0.0), 3.0)
+    assert traj.status is TrajectoryStatus.COMPLETED
+    assert len(traj.events) == 0
+    t_exit, _ = eng.forward_exit(x, v)
+    assert t_exit == pytest.approx(6.226, abs=1e-3)
+    s = np.linspace(0.0, 6.2, 2049)[1:]
+    for chunk in np.array_split(s, 8):      # bounded (n, 2048) seed matrix
+        assert ellipse_domain.xi(x + chunk[:, None] * v).max() < 0.0
+
+
 def test_wrap_pi():
     assert _wrap_pi(np.pi + 0.1) == pytest.approx(-np.pi + 0.1, abs=1e-12)
     assert _wrap_pi(-0.3) == pytest.approx(-0.3, abs=1e-12)
