@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grazing
-from .domain import ToroidalDomain
+from .domain import BLIP_SUBDIVISIONS, ToroidalDomain
 from .engine import (XI_ROOT_TOL, BilliardEngine, PhaseState, Trajectory,
                      TrajectoryStatus, angular_momentum)
 from .errors import DegenerateBasisError, NonSmoothPointError, NumericsError
@@ -222,71 +222,58 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L):
 
     Returns (min_nd, n_bounces, stopped_inflection) arrays.  Near-tangential
     impacts whose exterior excursion is shorter than the march step are the
-    very statistic being measured, so intervals that approach the boundary
-    without crossing are subdivided to catch them.
+    very statistic being measured, so the rays march by the domain's march
+    rule, as the engine does: a step whose ends both lie within blip_tol
+    below the boundary is subdivided to catch them.
     """
     n = len(dirs)
     pos = np.broadcast_to(np.asarray(x0, dtype=float), (n, 3)).copy()
     vhat = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     w = -vhat  # backward rays travel against the velocity
     remaining = np.full(n, float(L))
+    # xi at each ray's last march point; a bounce point counts as 0
+    xi_prev = np.full(n, float(domain.xi(np.asarray(x0, dtype=float))))
     min_nd = np.full(n, np.inf)
     bounces = np.zeros(n, dtype=int)
     stopped = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
-    step = 0.1 / domain.max_curvature
+    tol = domain.blip_tol
     markers = domain.markers
-    # any exterior blip between grid points keeps xi above -blip_tol at the
-    # surrounding grid points (sagitta bound with safety factor)
-    blip_tol = 4.0 * domain.max_curvature * step ** 2
-    n_fine = 32
 
     while np.any(active):
         idx = np.nonzero(active)[0]
-        s = np.minimum(step, remaining[idx])
+        s = np.minimum(domain.march_step, remaining[idx])
         trial = pos[idx] + s[:, None] * w[idx]
         xi = domain.xi(trial)
         crossed = xi > 0.0
-        shallow = (~crossed) & (xi > -blip_tol)
-        if np.any(shallow):
-            # subdivide suspect intervals to catch sub-step exterior blips
-            si = np.nonzero(shallow)[0]
-            fracs = np.linspace(0.0, 1.0, n_fine + 1)[1:-1]
-            sub = (pos[idx[si]][:, None, :]
-                   + (s[si, None] * fracs[None, :])[:, :, None] * w[idx[si]][:, None, :])
-            sub_xi = domain.xi(sub.reshape(-1, 3)).reshape(len(si), n_fine - 1)
-            hit = sub_xi > 0.0
-            has_hit = hit.any(axis=1)
-            if np.any(has_hit):
-                first = np.argmax(hit, axis=1)
-                hi_frac = fracs[first]
-                lo_frac = np.where(first > 0, fracs[np.maximum(first - 1, 0)], 0.0)
-                crossed = crossed.copy()
-                crossed[si[has_hit]] = True
-                blip_lo = {int(si[q]): (lo_frac[q] * s[si[q]],
-                                        hi_frac[q] * s[si[q]])
-                           for q in range(len(si)) if has_hit[q]}
-            else:
-                blip_lo = {}
-        else:
-            blip_lo = {}
+        # exit bracket [lo, hi] of each step, narrowed where a blip is found
+        lo = np.zeros(len(idx))
+        hi = s.copy()
+        near = np.nonzero((xi > -tol) & ~crossed & (xi_prev[idx] > -tol))[0]
+        if near.size:
+            fine = np.linspace(0.0, s[near], BLIP_SUBDIVISIONS + 1,
+                               axis=1)[:, 1:-1]
+            rays = idx[near]
+            sub = pos[rays, None, :] + fine[:, :, None] * w[rays, None, :]
+            hit = domain.xi(sub.reshape(-1, 3)).reshape(fine.shape) > 0.0
+            has = hit.any(axis=1)
+            q = np.argmax(hit, axis=1)[has]
+            rows = near[has]
+            crossed[rows] = True
+            hi[rows] = fine[has, q]
+            lo[rows] = np.where(q > 0, fine[has, q - 1], 0.0)
         ok = ~crossed
         ii = idx[ok]
         pos[ii] = trial[ok]
+        xi_prev[ii] = xi[ok]
         remaining[ii] -= s[ok]
         done = ii[remaining[ii] <= 0.0]
         active[done] = False
         ci = idx[crossed]
         if ci.size:
-            local = np.nonzero(crossed)[0]
-            lo = np.zeros(ci.size)
-            hi = s[crossed].copy()
-            for q, lq in enumerate(local):
-                if int(lq) in blip_lo:
-                    lo[q], hi[q] = blip_lo[int(lq)]
             base = pos[ci]
             wv = w[ci]
-            sb = _polish_exits(domain, base, wv, lo, hi)
+            sb = _polish_exits(domain, base, wv, lo[crossed], hi[crossed])
             xb = base + sb[:, None] * wv
             nrm = domain.grad_xi(xb)
             nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
@@ -306,6 +293,7 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L):
             wr = wv - 2.0 * np.einsum("ij,ij->i", nrm, wv)[:, None] * nrm
             # nudge off the boundary so the next march step starts inside
             pos[ci] = xb + 1e-9 * wr
+            xi_prev[ci] = 0.0
             w[ci] = wr
             hit_cap = ci[bounces[ci] >= TRACE_MAX_BOUNCES]
             active[hit_cap] = False

@@ -26,7 +26,8 @@ from . import __version__
 from . import analysis, grazing
 from .curves import circle_generator, ellipse_generator
 from .domain import ToroidalDomain, CircleTorusDomain
-from .engine import BilliardEngine, PhaseState, trajectory_to_jsonl
+from .engine import (DEFAULT_MAX_BOUNCES, BilliardEngine, PhaseState,
+                     trajectory_to_jsonl)
 from .errors import TorusBilliardsError
 from .orthochart import OrthoChart, identity_suite
 
@@ -49,14 +50,27 @@ class ConfigError(Exception):
 
 DEFAULT_CONFIG = {
     "curve": {"kind": "circle", "R": 2.0, "r": 1.0},
-    "tolerances": {"graze_threshold": 1e-7, "z_h_band": 1e-3},
-    "caps": {"max_bounces": 10_000},
+    "tolerances": {"graze_threshold": grazing.DEFAULT_GRAZE_THRESHOLD,
+                   "z_h_band": grazing.DEFAULT_ZH_BAND},
+    "caps": {"max_bounces": DEFAULT_MAX_BOUNCES},
     "seed": 0,
 }
 
-TOP_KEYS = {"curve", "tolerances", "caps", "seed", "simulate",
-            "classify_boundary", "inflection_map", "badset", "jacobian",
-            "recurrence_check", "coords_check"}
+# keys of each config block; "curve" takes the circle and the ellipse keys,
+# because the default R and r are merged into every curve block
+BLOCK_KEYS = {
+    "curve": {"kind", "R", "r", "center", "semi_x", "semi_z"},
+    "tolerances": {"graze_threshold", "z_h_band"},
+    "caps": {"max_bounces"},
+    "simulate": {"x", "v", "t", "length", "direction"},
+    "classify_boundary": {"n_tau", "n_theta", "phi"},
+    "inflection_map": {"n_tau"},
+    "badset": {"x", "phi", "eps", "length", "samples"},
+    "jacobian": {"t", "x", "v", "s", "h"},
+    "recurrence_check": {"x", "v", "length", "inner_only", "gate"},
+    "coords_check": {"H", "R1", "R2"},
+}
+TOP_KEYS = set(BLOCK_KEYS) | {"seed"}
 
 
 def _merge(base, override):
@@ -82,6 +96,13 @@ def load_config(path):
         unknown = set(user) - TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name in sorted(set(user) & set(BLOCK_KEYS)):
+            if not isinstance(user[name], dict):
+                raise ConfigError(f"config block {name} must be a JSON object")
+            unknown = set(user[name]) - BLOCK_KEYS[name]
+            if unknown:
+                raise ConfigError(
+                    f"unknown keys in config block {name}: {sorted(unknown)}")
         cfg = _merge(cfg, user)
     for name, val in cfg["tolerances"].items():
         if not val > 0:

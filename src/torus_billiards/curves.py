@@ -35,15 +35,13 @@ class ProfileCurve:
     """
 
     def __init__(self, eval_fn, deriv1_fn, deriv2_fn, period,
-                 kappa_prime=None, check=True, n_check=1024):
+                 kappa_prime=None):
         self._eval = eval_fn
         self._d1 = deriv1_fn
         self._d2 = deriv2_fn
         self.period = (float(period[0]), float(period[1]))
         self._kappa_prime = kappa_prime
-        self.unit_speed = True
-        if check:
-            self._verify()
+        self._verify()
 
     @property
     def period_length(self):
@@ -276,7 +274,7 @@ class ParametricCurve:
         return np.asarray(self.deriv2_fn(t), dtype=float)
 
 
-def reparametrize_arclength(raw: ParametricCurve, rtol=1e-12) -> ProfileCurve:
+def reparametrize_arclength(raw: ParametricCurve) -> ProfileCurve:
     """Arc-length reparametrization of a raw convex closed curve.
 
     The parameter map t(s) solves dt/ds = 1/|raw'(t)|; first and second
@@ -302,7 +300,7 @@ def reparametrize_arclength(raw: ParametricCurve, rtol=1e-12) -> ProfileCurve:
     total, err = quad(speed, t0, t1, limit=400, epsabs=1e-13, epsrel=1e-13)
 
     sol = solve_ivp(lambda s, t: 1.0 / speed(t[0]), (0.0, total), [t0],
-                    dense_output=True, rtol=rtol, atol=1e-14, method="DOP853")
+                    dense_output=True, rtol=1e-12, atol=1e-14, method="DOP853")
     if not sol.success:
         raise NonConformingCurveError("arc-length ODE failed: " + sol.message)
 
@@ -361,4 +359,4 @@ def curve_from_samples(points: Sequence, center_hint=None) -> ProfileCurve:
     spl = CubicSpline(t, closed, bc_type="periodic", axis=0)
     raw = ParametricCurve(eval_fn=spl, deriv1_fn=spl.derivative(1),
                           deriv2_fn=spl.derivative(2), span=(0.0, float(len(pts))))
-    return reparametrize_arclength(raw, rtol=1e-10)
+    return reparametrize_arclength(raw)

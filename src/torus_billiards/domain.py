@@ -19,6 +19,11 @@ from .curves import ProfileCurve, CurveMarkers, circle_generator, find_markers
 from .errors import NumericsError
 
 TWO_PI = 2.0 * np.pi
+# ray-march step as a fraction of the smallest curvature radius, so a convex
+# cross-section cannot be crossed and re-entered within one step
+MARCH_STEP_FRACTION = 0.1
+# a near-surface march interval is subdivided into this many parts
+BLIP_SUBDIVISIONS = 32
 
 
 class PointClass(enum.Enum):
@@ -61,6 +66,14 @@ class ToroidalDomain:
         self.max_curvature = float(kap.max())
         self.r_min = float(profile.gamma1(self.markers.lambda_star))
         self.r_max = float(profile.gamma1(self._seed_tau).max())
+        # march rule of both tracers: the step along a unit ray, and the
+        # depth (chord sagitta bound times the largest boundary |grad xi|)
+        # within which both ends of a step may hide an exterior blip
+        self.march_step = MARCH_STEP_FRACTION / self.max_curvature
+        taus = np.linspace(a, b, 64, endpoint=False)
+        g = self.grad_xi(self.sigma(taus, np.zeros_like(taus)))
+        self.blip_tol = (float(np.linalg.norm(g, axis=-1).max())
+                         * self.max_curvature * self.march_step ** 2)
 
     # -- geometry ---------------------------------------------------------
 
@@ -70,9 +83,6 @@ class ToroidalDomain:
         return np.stack([g[..., 0] * np.cos(phi),
                          g[..., 0] * np.sin(phi),
                          g[..., 1] + np.zeros_like(phi)], axis=-1)
-
-    def surface_point(self, tau, phi) -> SurfacePoint:
-        return SurfacePoint(tau, phi, self.sigma(tau, phi))
 
     def outward_normal(self, tau, phi):
         d1 = self.profile.deriv1(tau)

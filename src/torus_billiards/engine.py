@@ -19,15 +19,14 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import grazing
-from .domain import ToroidalDomain, PointClass, rotation_z
+from .domain import BLIP_SUBDIVISIONS, ToroidalDomain, PointClass, rotation_z
 from .errors import (GrazingAmbiguousError, NumericsError,
                      TrajectoryStoppedError)
+from .grazing import DEFAULT_GRAZE_THRESHOLD
 
 TWO_PI = 2.0 * np.pi
 XI_ROOT_TOL = 1e-12
 DEFAULT_MAX_BOUNCES = 10_000
-DEFAULT_GRAZE_THRESHOLD = 1e-7
-STEP_FRACTION = 0.1
 
 
 class TrajectoryStatus(enum.Enum):
@@ -51,6 +50,9 @@ class PhaseState:
         self.x = np.asarray(self.x, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
         self.t = float(self.t)
+        if not (np.isfinite(self.x).all() and np.isfinite(self.v).all()
+                and math.isfinite(self.t)):
+            raise ValueError("position, velocity and time must be finite")
         if np.linalg.norm(self.v) == 0.0:
             raise ValueError("velocity must be nonzero")
 
@@ -112,15 +114,6 @@ class BilliardEngine:
         self.domain = domain
         self.graze_threshold = float(graze_threshold)
         self.max_bounces = int(max_bounces)
-        # bracketing step: a fraction of the tube inradius so a convex
-        # cross-section cannot be crossed and re-entered within one step
-        self.step_len = STEP_FRACTION / domain.max_curvature
-        taus = np.linspace(*domain.profile.period, 64, endpoint=False)
-        g = domain.grad_xi(domain.sigma(taus, np.zeros_like(taus)))
-        self._grad_scale = float(np.linalg.norm(g, axis=-1).max())
-        # largest xi value a boundary blip shorter than one step can reach
-        # (chord sagitta bound), with safety factor
-        self._blip_tol = self._grad_scale * domain.max_curvature * self.step_len ** 2
 
     # -- exit times -------------------------------------------------------
 
@@ -155,10 +148,12 @@ class BilliardEngine:
         """Smallest s in (0, max_s] with xi(x + s v) = 0, or None.
 
         ``from_boundary`` divides out the known root at s = 0 on the first
-        interval so near-tangential short chords are still resolved.
+        interval so near-tangential short chords are still resolved.  The
+        march step and the blip test are the domain's march rule.
         """
         speed = math.sqrt(float(v @ v))
-        step = self.step_len / speed
+        step = self.domain.march_step / speed
+        tol = self.domain.blip_tol
         if max_s <= 0.0:
             return None
         s_lo = 0.0
@@ -195,13 +190,12 @@ class BilliardEngine:
             # near-surface pairs ahead of the first crossing may hide a short
             # blip (exit and re-entry between grid points) — subdivide them
             prev = np.concatenate(([xi_lo], vals[:-1]))
-            near = np.nonzero((vals > -self._blip_tol) & (vals <= 0.0)
-                              & (prev > -self._blip_tol))[0]
+            near = np.nonzero((vals > -tol) & (vals <= 0.0) & (prev > -tol))[0]
             for j in near:
                 if j >= k_cross:
                     break
                 a = s_lo if j == 0 else grid[j - 1]
-                fine = np.linspace(a, grid[j], 33)[1:-1]
+                fine = np.linspace(a, grid[j], BLIP_SUBDIVISIONS + 1)[1:-1]
                 fvals = self._xi_ray(x, v, fine)
                 hit = np.nonzero(fvals > 0.0)[0]
                 if hit.size:
@@ -269,6 +263,9 @@ class BilliardEngine:
         return g, None
 
     def _run(self, state: PhaseState, length, direction, max_bounces, phi0):
+        if not (math.isfinite(length) and length >= 0.0):
+            raise ValueError(
+                f"length must be finite and non-negative, got {length}")
         dom = self.domain
         x = state.x.copy()
         v = state.v.copy()

@@ -133,21 +133,52 @@ def test_sample_directions_deterministic():
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 
 
-def test_tracer_matches_engine(circle_domain, circle_engine):
+@pytest.mark.parametrize("fixture,x,n,L", [
+    ("circle_domain", [2.0, 0.0, 0.0], 64, 8.0),
+    ("generic_circle_domain", [2.0, 0.0, 0.0], 32, 4.0),
+    ("ellipse_domain", [3.0, 0.0, 0.0], 8, 3.0)],
+    ids=["quadric", "generic", "ellipse"])
+def test_tracer_matches_engine(request, fixture, x, n, L):
     """The vectorized bad-set tracer must reproduce the honest engine's
-    per-bounce minimum |n.v_hat| statistic."""
-    x = np.array([2.0, 0.0, 0.0])
-    dirs = _sample_directions(3, 0, 64)
-    L = 8.0
-    min_nd, bounces, stopped = _trace_min_graze(circle_domain, x, dirs, L)
+    per-bounce minimum |n.v_hat| statistic: both march by the domain's
+    march rule."""
+    domain = request.getfixturevalue(fixture)
+    engine = tb.BilliardEngine(domain)
+    x = np.array(x)
+    dirs = _sample_directions(3, 0, n)
+    min_nd, bounces, stopped = _trace_min_graze(domain, x, dirs, L)
+    assert bounces.sum() >= n
     for i in range(len(dirs)):
         if stopped[i]:
             continue
-        traj = circle_engine.backward_cycles(
-            tb.PhaseState(x, dirs[i], 0.0), L)
-        ref = min(abs(ev.normal_dot) for ev in traj.events)
-        assert min_nd[i] == pytest.approx(ref, abs=1e-8)
+        traj = engine.backward_cycles(tb.PhaseState(x, dirs[i], 0.0), L)
+        ref = min((abs(ev.normal_dot) for ev in traj.events), default=np.inf)
+        assert min_nd[i] == pytest.approx(ref, abs=1e-12)
         assert bounces[i] == len(traj.events)
+
+
+@pytest.mark.parametrize("fixture", ["circle_domain", "generic_circle_domain"])
+def test_tracer_and_engine_catch_sub_step_blip(request, fixture):
+    """A ray that cuts through the hole of the torus for less than one march
+    step, with no march point outside: both tracers find the exit by the
+    domain's blip test."""
+    domain = request.getfixturevalue(fixture)
+    engine = tb.BilliardEngine(domain)
+    x = np.array([1.0 - 1e-4, -0.537, 0.0])
+    v = np.array([0.0, 1.0, 0.0])
+    blip = 2.0 * np.sqrt(1.0 - x[0] ** 2)     # chord through the hole
+    assert blip < domain.march_step
+    marched = x + np.arange(0.0, 0.6, domain.march_step)[:, None] * v
+    assert np.all(domain.xi(marched) < 0.0)
+    t, _ = engine.forward_exit(x, v)
+    assert t == pytest.approx(0.522858, abs=1e-6)
+    traj = engine.backward_cycles(tb.PhaseState(x, -v), 0.6)
+    assert len(traj.events) == 1
+    nd = abs(traj.events[0].normal_dot)
+    assert nd == pytest.approx(0.0141418, abs=1e-7)
+    min_nd, bounces, stopped = _trace_min_graze(domain, x, -v[None], 0.6)
+    assert bounces[0] == 1 and not stopped[0]
+    assert min_nd[0] == pytest.approx(nd, abs=1e-12)
 
 
 # (domain fixture, base point, samples, L): the quadric, the generic circle

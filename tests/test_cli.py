@@ -36,6 +36,14 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path, {"curve": {}, "bogus": 1})
     with pytest.raises(ConfigError):
         load_config(path)
+    # keys inside each block, and blocks that are not JSON objects
+    for cfg, name in [({"badset": {"x": [2, 0, 0], "sample": 5}}, "sample"),
+                      ({"curve": {"kind": "ellipse", "semi_y": 1}}, "semi_y"),
+                      ({"tolerances": {"graze": 1e-6}}, "graze"),
+                      ({"caps": 5}, "caps"),
+                      ({"simulate": [2, 0, 0]}, "simulate")]:
+        with pytest.raises(ConfigError, match=name):
+            load_config(write_config(tmp_path, cfg))
 
 
 def test_load_config_rejects_bad_seed(tmp_path):
@@ -51,6 +59,22 @@ def test_load_config_rejects_bad_tolerance(tmp_path):
     path = write_config(tmp_path, {"tolerances": {"graze_threshold": 0.0}})
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_load_config_accepts_every_curve_key(tmp_path):
+    path = write_config(tmp_path, {"curve": {"kind": "ellipse", "center": 3.0,
+                                             "semi_x": 2.0, "semi_z": 1.0}})
+    assert load_config(path)["curve"]["semi_x"] == 2.0
+
+
+def test_misspelled_block_key_exit_code(tmp_path, capsys):
+    # used to run the default 1000 samples with exit 0
+    code, text = run(tmp_path, {"badset": {"x": [2, 0, 0], "sample": 5}},
+                     ["badset"])
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'sample'" in err
 
 
 def test_config_hash_canonical():
@@ -271,6 +295,22 @@ def test_badset_invalid_input_exit_code(tmp_path, monkeypatch, capsys, flags):
     argv = ["badset", "--x", "2,0,0", "--eps", "0.05", "--length", "4",
             "--samples", "64"] + flags
     code, text = run(tmp_path, {}, argv)
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("block", [
+    {"length": float("nan")},           # was a completed run of length 0
+    {"length": -3.0},                   # was a completed run of length 0
+    {"v": [float("nan"), 0.5, 0.0]},    # wrote NaN into the header
+    {"t": float("nan")},                # wrote NaN into every record
+], ids=["nan-length", "negative-length", "nan-velocity", "nan-time"])
+def test_simulate_invalid_input_exit_code(tmp_path, capsys, block):
+    cfg = {"simulate": dict({"x": [2.0, 0.0, 0.0], "v": [1.0, 0.0, 0.0]},
+                            **block)}
+    code, text = run(tmp_path, cfg, ["simulate"])
     assert code == 1
     assert text == ""
     err = capsys.readouterr().err

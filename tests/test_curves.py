@@ -180,6 +180,16 @@ def test_curve_from_samples_circle():
     assert np.abs(resid).max() < 1e-5
 
 
+def test_curve_from_samples_ellipse():
+    # 64 samples of an ellipse: the arc-length map at rtol 1e-10 left a
+    # closure gap of 1.75e-6, above the 1e-6 check of ProfileCurve
+    t = np.linspace(0, TWO_PI, 64, endpoint=False)
+    pts = np.stack([3.0 + 1.5 * np.cos(t), 0.8 * np.sin(t)], axis=-1)
+    curve = tb.curve_from_samples(pts)
+    assert tb.find_markers(curve).lambda_star == pytest.approx(3.69699,
+                                                               abs=1e-5)
+
+
 def test_curve_from_samples_validation():
     with pytest.raises(tb.NonConformingCurveError):
         tb.curve_from_samples(np.zeros((3, 2)))

@@ -52,7 +52,7 @@ def test_exit_rejects_exterior(circle_engine):
         circle_engine.backward_exit([3.5, 0.0, 0.0], [1.0, 0.0, 0.0])
 
 
-def test_exit_near_tangential_chord(circle_engine):
+def test_exit_near_tangential_chord(circle_domain, circle_engine):
     # boundary start with a shallow chord much shorter than the march step
     dom = circle_engine.domain
     x = dom.sigma(0.0, 0.0)
@@ -61,7 +61,7 @@ def test_exit_near_tangential_chord(circle_engine):
     delta = 1e-4
     v = np.cos(delta) * u - np.sin(delta) * n   # slightly inward
     t, xb = circle_engine.forward_exit(x, v)
-    assert 0.0 < t < circle_engine.step_len
+    assert 0.0 < t < circle_domain.march_step
     assert abs(float(dom.xi(xb))) < 1e-10
 
 
@@ -144,6 +144,20 @@ def test_angular_momentum_helpers():
 def test_phase_state_validation():
     with pytest.raises(ValueError):
         tb.PhaseState([2.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        tb.PhaseState([2.0, 0.0, 0.0], [np.nan, 0.5, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        tb.PhaseState([2.0, np.inf, 0.0], [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        tb.PhaseState([2.0, 0.0, 0.0], [1.0, 0.0, 0.0], np.nan)
+
+
+@pytest.mark.parametrize("length", [np.nan, np.inf, -3.0])
+def test_cycles_reject_invalid_length(circle_engine, length):
+    state = tb.PhaseState([2.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    for run in (circle_engine.forward_cycles, circle_engine.backward_cycles):
+        with pytest.raises(ValueError, match="length"):
+            run(state, length)
 
 
 # -- evaluation ------------------------------------------------------------
