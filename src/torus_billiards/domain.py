@@ -24,6 +24,9 @@ TWO_PI = 2.0 * np.pi
 MARCH_STEP_FRACTION = 0.1
 # a near-surface march interval is subdivided into this many parts
 BLIP_SUBDIVISIONS = 32
+# nearest-point seed table: its size and the stride of its coarse search
+SEED_TABLE_SIZE = 2048
+SEED_COARSE_STRIDE = 32
 
 
 class PointClass(enum.Enum):
@@ -54,14 +57,18 @@ def rotation_z(dphi):
 class ToroidalDomain:
     """Domain obtained by revolving a ProfileCurve about the z-axis."""
 
-    def __init__(self, profile: ProfileCurve, markers: CurveMarkers = None,
-                 seed_grid=2048):
+    def __init__(self, profile: ProfileCurve, markers: CurveMarkers = None):
         self.profile = profile
         self.markers = markers if markers is not None else find_markers(profile)
         a, b = profile.period
-        self._seed_tau = np.linspace(a, b, seed_grid, endpoint=False)
+        self._seed_tau = np.linspace(a, b, SEED_TABLE_SIZE, endpoint=False)
         pts = profile.eval(self._seed_tau)
-        self._seed_pts = pts  # (n, 2) cached generator samples
+        # row c: the samples within one stride of coarse sample c (its middle
+        # column), stored whole so that the fine search reads one row a point
+        win = (np.arange(0, SEED_TABLE_SIZE, SEED_COARSE_STRIDE)[:, None]
+               + np.arange(-SEED_COARSE_STRIDE, SEED_COARSE_STRIDE + 1))
+        table = np.vstack([pts.T, self._seed_tau])[:, win % len(pts)]
+        self._win_rho, self._win_z, self._win_tau = np.ascontiguousarray(table)
         kap = profile.curvature(self._seed_tau)
         self.max_curvature = float(kap.max())
         self.r_min = float(profile.gamma1(self.markers.lambda_star))
@@ -114,9 +121,12 @@ class ToroidalDomain:
         shape = np.broadcast_shapes(rho.shape, z.shape)
         rho_f = np.broadcast_to(rho, shape).reshape(-1)
         z_f = np.broadcast_to(z, shape).reshape(-1)
-        d2 = ((rho_f[:, None] - self._seed_pts[None, :, 0]) ** 2
-              + (z_f[:, None] - self._seed_pts[None, :, 1]) ** 2)
-        tau = self._seed_tau[np.argmin(d2, axis=1)]
+        m = SEED_COARSE_STRIDE  # the column of each row's coarse sample
+        c = np.argmin((rho_f[:, None] - self._win_rho[:, m]) ** 2
+                      + (z_f[:, None] - self._win_z[:, m]) ** 2, axis=1)
+        d2 = ((rho_f[:, None] - self._win_rho[c]) ** 2
+              + (z_f[:, None] - self._win_z[c]) ** 2)
+        tau = self._win_tau[c, np.argmin(d2, axis=1)]
         for _ in range(n_newton):
             g = self.profile.eval(tau)
             d1 = self.profile.deriv1(tau)

@@ -1,8 +1,8 @@
 """Reference implementations kept for the tests to compare against.
 
-Both are the plain forms that faster production code replaced; each takes
-the same arguments as the function it stands in for, so a test can swap it
-in with ``monkeypatch.setattr``.
+Each is the plain form that faster production code replaced and takes the
+same arguments as the function it stands in for, so a test can swap it in
+with ``monkeypatch.setattr``.
 """
 
 import numpy as np
@@ -35,3 +35,34 @@ def scan_zeros_scalar(fn, lo, hi, n):
         elif v0 * v1 < 0.0:
             zeros.append(brentq(fn, ts[i], ts[i + 1], xtol=1e-14, rtol=1e-15))
     return zeros
+
+
+def nearest_parameter_full_table(domain, rho, z, n_newton=8):
+    """Generator parameter of the nearest curve point to (rho, z), seeded by
+    the argmin over every sample of the domain's seed table, then the same
+    fixed Newton iterations (stands in for
+    ``ToroidalDomain.nearest_parameter``)."""
+    rho = np.asarray(rho, dtype=float)
+    z = np.asarray(z, dtype=float)
+    shape = np.broadcast_shapes(rho.shape, z.shape)
+    rho_f = np.broadcast_to(rho, shape).reshape(-1)
+    z_f = np.broadcast_to(z, shape).reshape(-1)
+    pts = domain.profile.eval(domain._seed_tau)
+    idx = np.empty(rho_f.size, dtype=int)
+    chunk = 256  # rows of the distance matrix held at once
+    for i in range(0, rho_f.size, chunk):
+        d2 = ((rho_f[i:i + chunk, None] - pts[None, :, 0]) ** 2
+              + (z_f[i:i + chunk, None] - pts[None, :, 1]) ** 2)
+        idx[i:i + chunk] = np.argmin(d2, axis=1)
+    tau = domain._seed_tau[idx]
+    for _ in range(n_newton):
+        g = domain.profile.eval(tau)
+        d1 = domain.profile.deriv1(tau)
+        dd = domain.profile.deriv2(tau)
+        ex = rho_f - g[..., 0]
+        ez = z_f - g[..., 1]
+        f = ex * d1[..., 0] + ez * d1[..., 1]
+        fp = -1.0 + ex * dd[..., 0] + ez * dd[..., 1]
+        fp = np.where(np.abs(fp) < 1e-12, -1.0, fp)
+        tau = tau - f / fp
+    return domain.profile.wrap(tau).reshape(shape)

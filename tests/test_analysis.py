@@ -7,7 +7,7 @@ from torus_billiards.analysis import _sample_directions, _trace_min_graze
 from torus_billiards.engine import XI_ROOT_TOL
 
 from conftest import random_interior_states
-from oracles import bisect_exits
+from oracles import bisect_exits, nearest_parameter_full_table
 
 TWO_PI = 2.0 * np.pi
 SQRT3 = np.sqrt(3.0)
@@ -205,6 +205,20 @@ def test_tracer_matches_bisection_oracle(request, monkeypatch, fixture, x, n,
     assert np.array_equal(np.isinf(min_nd), np.isinf(ref_nd))
     fin = np.isfinite(ref_nd)
     assert np.abs(min_nd[fin] - ref_nd[fin]).max() <= 1e-12
+
+
+def test_tracer_matches_full_table_seed(generic_circle_domain, monkeypatch):
+    """The coarse-to-fine nearest-point seed leaves the tracer's outputs on
+    the benchmark's generic-circle scan inputs bit-identical."""
+    x = np.array([2.0, 0.0, 0.0])
+    dirs = _sample_directions(0, 0, 1024)
+    got = _trace_min_graze(generic_circle_domain, x, dirs, 1.5)
+    monkeypatch.setattr(tb.ToroidalDomain, "nearest_parameter",
+                        nearest_parameter_full_table)
+    want = _trace_min_graze(generic_circle_domain, x, dirs, 1.5)
+    assert got[1].sum() > 0
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def _exit_brackets(domain, base, dirs, h=0.05, m=120):

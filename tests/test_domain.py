@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import torus_billiards as tb
 from torus_billiards.domain import PointClass
+
+from oracles import nearest_parameter_full_table
 
 TWO_PI = 2.0 * np.pi
 
@@ -132,6 +136,84 @@ def test_nearest_parameter_analytic_vs_newton(circle_domain,
     d = np.abs(a - b)
     d = np.minimum(d, TWO_PI - d)
     assert d.max() < 1e-9
+
+
+@pytest.fixture(scope="module")
+def sampled_circle_domain():
+    t = np.linspace(0, TWO_PI, 64, endpoint=False)
+    pts = np.stack([2.0 + np.cos(t), np.sin(t)], axis=-1)
+    return tb.ToroidalDomain(tb.curve_from_samples(pts))
+
+
+SEED_DOMAINS = ["generic_circle_domain", "ellipse_domain",
+                "sampled_circle_domain"]
+
+
+def _seed_test_points(domain, rng):
+    """20,000 points: 16,000 uniform in the domain's bounding box, 2,000
+    deep inside near z = 0 (the ellipse's medial axis, the circle's centre
+    and its horizontal diameter) and 2,000 within 1e-2 of the generator's
+    centroid."""
+    g = domain.profile.eval(np.linspace(*domain.profile.period, 256))
+    lo = np.array([-g[:, 0].max(), -g[:, 0].max(), g[:, 1].min()]) - 0.2
+    box = rng.uniform(lo, -lo, (16_000, 3))
+    rho = np.concatenate([rng.uniform(g[:, 0].min(), g[:, 0].max(), 2_000),
+                          np.full(2_000, g[:, 0].mean())])
+    z = rng.choice([-1.0, 1.0], 4_000) * 10.0 ** rng.uniform(-8, -2, 4_000)
+    ang = rng.uniform(0.0, TWO_PI, 2_000)
+    rho[2_000:] += 10.0 ** rng.uniform(-8, -2, 2_000) * np.cos(ang)
+    z[2_000:] = g[:, 1].mean() + np.abs(z[2_000:]) * np.sin(ang)
+    phi = rng.uniform(0.0, TWO_PI, 4_000)
+    near = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
+    return np.concatenate([box, near])
+
+
+@pytest.mark.parametrize("fixture", SEED_DOMAINS)
+def test_seed_matches_full_table(request, monkeypatch, fixture):
+    """The coarse-to-fine seed starts Newton where the full-table argmin
+    does, so the indicator is bit-identical to the full-table form."""
+    domain = request.getfixturevalue(fixture)
+    p = _seed_test_points(domain, np.random.default_rng(8))
+    rho, z = np.hypot(p[:, 0], p[:, 1]), p[:, 2]
+    got = [domain.nearest_parameter(rho, z), domain.xi(p), domain.grad_xi(p)]
+    monkeypatch.setattr(tb.ToroidalDomain, "nearest_parameter",
+                        nearest_parameter_full_table)
+    want = [domain.nearest_parameter(rho, z), domain.xi(p),
+            domain.grad_xi(p)]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_seed_ties_match_full_table(request, monkeypatch):
+    """Where every seed sample is equally near up to rounding (the centre
+    of a circular generator, the ellipse's medial axis at z = 0), the seed
+    may pick another tied sample; xi then agrees to 2 ulps."""
+    phi = np.linspace(0.0, TWO_PI, 7)
+    centre = np.stack([2.0 * np.cos(phi), 2.0 * np.sin(phi), 0.0 * phi], -1)
+    rho = np.linspace(1.55, 4.45, 30)
+    medial = np.stack([rho, 0.0 * rho, 0.0 * rho], axis=-1)
+    cases = [("generic_circle_domain", centre), ("ellipse_domain", medial),
+             ("sampled_circle_domain", centre)]
+    got = [request.getfixturevalue(f).xi(p) for f, p in cases]
+    monkeypatch.setattr(tb.ToroidalDomain, "nearest_parameter",
+                        nearest_parameter_full_table)
+    for (f, p), a in zip(cases, got):
+        b = request.getfixturevalue(f).xi(p)
+        ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        assert np.all(np.abs(a - b) <= 2 * ulp), f
+
+
+def test_xi_seed_memory(generic_circle_domain):
+    """An 8,192-point xi call holds no 8,192 x 2048 distance matrix (the
+    full-table seed peaked at 256 MB)."""
+    p = np.random.default_rng(4).uniform(-3.0, 3.0, (8192, 3))
+    tracemalloc.start()
+    try:
+        generic_circle_domain.xi(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_rotation_z():
