@@ -17,6 +17,8 @@ from .engine import (XI_ROOT_TOL, BilliardEngine, PhaseState, Trajectory,
 from .errors import DegenerateBasisError, NonSmoothPointError, NumericsError
 
 BADSET_CHUNK = 1024
+# trim of the inner region at each end for the recurrence residuals
+EDGE_MARGIN = 0.05
 # bounce cap of the bad-set tracer; a sample that reaches it counts as bad
 TRACE_MAX_BOUNCES = 500
 
@@ -112,8 +114,8 @@ def bounce_count(engine: BilliardEngine, x, v, L, max_bounces=None):
 
 
 def recurrence_residuals(domain: ToroidalDomain, traj: Trajectory,
-                         inner_only=True, gate=0.1, edge_margin=0.05,
-                         z_h_band=1e-3):
+                         inner_only=True, gate=0.1,
+                         z_h_band=grazing.DEFAULT_ZH_BAND):
     """Per-step records of the bounce-parameter recurrences.
 
     For consecutive bounce parameter steps (d_tau_i, d_phi_i):
@@ -139,7 +141,7 @@ def recurrence_residuals(domain: ToroidalDomain, traj: Trajectory,
             return False
         if inner_only:
             for tau in (taus[i], taus[i + 1]):
-                if not bool(markers.in_inner(domain.profile, tau, edge_margin)):
+                if not bool(markers.in_inner(domain.profile, tau, EDGE_MARGIN)):
                     return False
                 if markers.dist_to_z_h(domain.profile, tau) <= z_h_band:
                     return False

@@ -105,10 +105,10 @@ def load_config(path):
                     f"unknown keys in config block {name}: {sorted(unknown)}")
         cfg = _merge(cfg, user)
     for name, val in cfg["tolerances"].items():
-        if not val > 0:
-            raise ConfigError(f"tolerance {name} must be positive")
+        if type(val) not in (int, float) or not val > 0:
+            raise ConfigError(f"tolerance {name} must be a positive number")
     seed = cfg["seed"]
-    if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+    if type(seed) is not int or not 0 <= seed < 2 ** 64:
         raise ConfigError("seed must be a 64-bit unsigned integer")
     return cfg
 
@@ -298,7 +298,8 @@ def cmd_recurrence_check(cfg, args):
     recs = analysis.recurrence_residuals(
         engine.domain, traj,
         inner_only=bool(block.get("inner_only", True)),
-        gate=float(block.get("gate", 0.1)))
+        gate=float(block.get("gate", 0.1)),
+        z_h_band=cfg["tolerances"]["z_h_band"])
     lines = ["# " + json.dumps(meta_record(cfg), sort_keys=True),
              "i,d_tau,d_phi,r1,r2"]
     for r in recs:
@@ -386,10 +387,6 @@ def main(argv=None):
             cfg = dict(cfg, seed=args.seed)
             if not 0 <= cfg["seed"] < 2 ** 64:
                 raise ConfigError("seed must be a 64-bit unsigned integer")
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    try:
         return HANDLERS[args.cmd](cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -397,7 +394,8 @@ def main(argv=None):
     except TorusBilliardsError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (TypeError, ValueError, OverflowError) as e:
+        # a config value of the wrong JSON type, or one out of range
         print(f"invalid input: {e}", file=sys.stderr)
         return 1
 

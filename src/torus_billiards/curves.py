@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import make_interp_spline
 from scipy.optimize import brentq
 
 from .errors import InvariantViolation, NonConformingCurveError
@@ -23,6 +23,8 @@ from .errors import InvariantViolation, NonConformingCurveError
 UNIT_SPEED_TOL = 1e-10
 DEFAULT_SCAN_POINTS = 4096
 KAPPA_PRIME_STEP = 1e-6
+# sample count of the invariant checks of every generator
+VERIFY_POINTS = 1024
 
 
 class ProfileCurve:
@@ -83,9 +85,9 @@ class ProfileCurve:
         d2 = self.deriv2(tau)
         return d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
 
-    def _verify(self, n=1024):
+    def _verify(self):
         a, b = self.period
-        tau = np.linspace(a, b, n, endpoint=False)
+        tau = np.linspace(a, b, VERIFY_POINTS, endpoint=False)
         d1 = self.deriv1(tau)
         speed_err = np.abs(d1[..., 0] ** 2 + d1[..., 1] ** 2 - 1.0)
         if speed_err.max() > UNIT_SPEED_TOL:
@@ -347,8 +349,9 @@ def ellipse_generator(center=3.0, semi_x=2.0, semi_z=1.0) -> ProfileCurve:
     return reparametrize_arclength(raw)
 
 
-def curve_from_samples(points: Sequence, center_hint=None) -> ProfileCurve:
-    """Closed generator from an (n, 2) sample table via a periodic cubic spline."""
+def curve_from_samples(points: Sequence) -> ProfileCurve:
+    """Closed generator from an (n, 2) sample table via a periodic quintic
+    spline, whose curvature derivative is continuous."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
         raise NonConformingCurveError("sample table must be an (n>=4, 2) array")
@@ -356,7 +359,7 @@ def curve_from_samples(points: Sequence, center_hint=None) -> ProfileCurve:
         pts = pts[:-1]
     t = np.arange(len(pts) + 1, dtype=float)
     closed = np.vstack([pts, pts[:1]])
-    spl = CubicSpline(t, closed, bc_type="periodic", axis=0)
+    spl = make_interp_spline(t, closed, k=5, bc_type="periodic", axis=0)
     raw = ParametricCurve(eval_fn=spl, deriv1_fn=spl.derivative(1),
                           deriv2_fn=spl.derivative(2), span=(0.0, float(len(pts))))
     return reparametrize_arclength(raw)

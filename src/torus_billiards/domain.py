@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .curves import ProfileCurve, CurveMarkers, circle_generator, find_markers
+from .curves import ProfileCurve, circle_generator, find_markers
 from .errors import NumericsError
 
 TWO_PI = 2.0 * np.pi
@@ -27,6 +27,9 @@ BLIP_SUBDIVISIONS = 32
 # nearest-point seed table: its size and the stride of its coarse search
 SEED_TABLE_SIZE = 2048
 SEED_COARSE_STRIDE = 32
+# |xi| up to which a point lies on the boundary; step of the generic Hessian
+BOUNDARY_BAND = 1e-9
+HESSIAN_STEP = 1e-5
 
 
 class PointClass(enum.Enum):
@@ -57,9 +60,9 @@ def rotation_z(dphi):
 class ToroidalDomain:
     """Domain obtained by revolving a ProfileCurve about the z-axis."""
 
-    def __init__(self, profile: ProfileCurve, markers: CurveMarkers = None):
+    def __init__(self, profile: ProfileCurve):
         self.profile = profile
-        self.markers = markers if markers is not None else find_markers(profile)
+        self.markers = find_markers(profile)
         a, b = profile.period
         self._seed_tau = np.linspace(a, b, SEED_TABLE_SIZE, endpoint=False)
         pts = profile.eval(self._seed_tau)
@@ -139,52 +142,48 @@ class ToroidalDomain:
             tau = tau - f / fp
         return self.profile.wrap(tau).reshape(shape)
 
-    def xi_bar(self, rho, z):
-        """Signed distance to the generator in the (rho, z) half-plane."""
-        tau = self.nearest_parameter(rho, z)
-        g = self.profile.eval(tau)
-        d1 = self.profile.deriv1(tau)
-        ex = np.asarray(rho) - g[..., 0]
-        ez = np.asarray(z) - g[..., 1]
-        dist = np.hypot(ex, ez)
-        # outward normal of the generator is (gamma2', -gamma1')
-        side = ex * d1[..., 1] - ez * d1[..., 0]
-        return np.where(side >= 0.0, dist, -dist)
-
-    def xi(self, p):
-        p = np.asarray(p, dtype=float)
-        rho = np.hypot(p[..., 0], p[..., 1])
-        return self.xi_bar(rho, p[..., 2])
-
-    def grad_xi(self, p):
-        p = np.asarray(p, dtype=float)
-        rho = np.hypot(p[..., 0], p[..., 1])
-        z = p[..., 2]
+    def _foot(self, rho, z):
+        """(ex, ez, dist, side, d1) of (rho, z) and its nearest generator
+        point: the offset, its length, the side (>= 0 outside) and the unit
+        tangent there."""
         tau = self.nearest_parameter(rho, z)
         g = self.profile.eval(tau)
         d1 = self.profile.deriv1(tau)
         ex = rho - g[..., 0]
         ez = z - g[..., 1]
-        dist = np.hypot(ex, ez)
+        # outward normal of the generator is (gamma2', -gamma1')
+        return ex, ez, np.hypot(ex, ez), ex * d1[..., 1] - ez * d1[..., 0], d1
+
+    def xi(self, p):
+        """Signed distance to the generator in the (rho, z) half-plane."""
+        p = np.asarray(p, dtype=float)
+        _, _, dist, side, _ = self._foot(np.hypot(p[..., 0], p[..., 1]),
+                                         p[..., 2])
+        return np.where(side >= 0.0, dist, -dist)
+
+    def grad_xi(self, p):
+        p = np.asarray(p, dtype=float)
+        rho = np.hypot(p[..., 0], p[..., 1])
+        ex, ez, dist, side, d1 = self._foot(rho, p[..., 2])
         on_curve = dist < 1e-13
         nr = np.where(on_curve, d1[..., 1], ex / np.where(dist == 0, 1.0, dist))
         nz = np.where(on_curve, -d1[..., 0], ez / np.where(dist == 0, 1.0, dist))
-        side = np.where(ex * d1[..., 1] - ez * d1[..., 0] >= 0.0, 1.0, -1.0)
-        side = np.where(on_curve, 1.0, side)
-        nr = nr * side
-        nz = nz * side
+        sign = np.where(on_curve | (side >= 0.0), 1.0, -1.0)
+        nr = nr * sign
+        nz = nz * sign
         rho_safe = np.where(rho == 0, 1.0, rho)
         return np.stack([nr * p[..., 0] / rho_safe,
                          nr * p[..., 1] / rho_safe,
                          nz + np.zeros_like(rho)], axis=-1)
 
-    def hessian_xi(self, p, step=1e-5):
+    def hessian_xi(self, p):
         p = np.asarray(p, dtype=float)
         H = np.empty(p.shape[:-1] + (3, 3))
         for i in range(3):
             dp = np.zeros(3)
-            dp[i] = step
-            H[..., i, :] = (self.grad_xi(p + dp) - self.grad_xi(p - dp)) / (2 * step)
+            dp[i] = HESSIAN_STEP
+            H[..., i, :] = ((self.grad_xi(p + dp) - self.grad_xi(p - dp))
+                            / (2 * HESSIAN_STEP))
         return 0.5 * (H + np.swapaxes(H, -1, -2))
 
     def unit_normal_at(self, p):
@@ -193,13 +192,13 @@ class ToroidalDomain:
 
     # -- queries ----------------------------------------------------------
 
-    def classify_point(self, p, band=1e-10) -> PointClass:
+    def classify_point(self, p) -> PointClass:
         v = float(self.xi(p))
-        if abs(v) <= band:
+        if abs(v) <= BOUNDARY_BAND:
             return PointClass.BOUNDARY
         return PointClass.INSIDE if v < 0 else PointClass.OUTSIDE
 
-    def boundary_params(self, p, phi_hint=0.0, tol=1e-9, max_iter=50) -> SurfacePoint:
+    def boundary_params(self, p, phi_hint=0.0, tol=1e-9) -> SurfacePoint:
         """Recover (tau, unwrapped phi) of a point near the boundary.
 
         phi is placed on the 2-pi branch nearest phi_hint.
@@ -257,9 +256,6 @@ class CircleTorusDomain(ToroidalDomain):
                          np.asarray(rho, dtype=float) - self.R)
         return (self.r * ang) % (TWO_PI * self.r)
 
-    def xi_bar(self, rho, z):
-        return (np.asarray(rho) - self.R) ** 2 + np.asarray(z) ** 2 - self.r ** 2
-
     def xi(self, p):
         p = np.asarray(p, dtype=float)
         if p.ndim == 1:
@@ -280,7 +276,7 @@ class CircleTorusDomain(ToroidalDomain):
         return np.stack([fac * p[..., 0], fac * p[..., 1], 2.0 * p[..., 2]],
                         axis=-1)
 
-    def hessian_xi(self, p, step=None):
+    def hessian_xi(self, p):
         p = np.asarray(p, dtype=float)
         x, y, z = p[..., 0], p[..., 1], p[..., 2]
         rho = np.hypot(x, y)

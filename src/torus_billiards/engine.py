@@ -50,6 +50,8 @@ class PhaseState:
         self.x = np.asarray(self.x, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
         self.t = float(self.t)
+        if self.x.shape != (3,) or self.v.shape != (3,):
+            raise ValueError("position and velocity must be 3-vectors")
         if not (np.isfinite(self.x).all() and np.isfinite(self.v).all()
                 and math.isfinite(self.t)):
             raise ValueError("position, velocity and time must be finite")
@@ -87,18 +89,16 @@ class Trajectory:
         return len(self.events)
 
 
-def angular_momentum(x, v):
-    """omega = |(x cross z_hat) . v| = |x2 v1 - x1 v2|; conserved quantity."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return abs(x[..., 1] * v[..., 0] - x[..., 0] * v[..., 1])
-
-
 def signed_angular_momentum(x, v):
     """L_z = x1 v2 - x2 v1; positive when the azimuth increases."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     return x[..., 0] * v[..., 1] - x[..., 1] * v[..., 0]
+
+
+def angular_momentum(x, v):
+    """omega = |L_z|; conserved quantity."""
+    return abs(signed_angular_momentum(x, v))
 
 
 def _wrap_pi(a):
@@ -208,11 +208,11 @@ class BilliardEngine:
             s_lo, xi_lo = s_hi, float(vals[-1])
         return None
 
-    def backward_exit(self, x, v, max_s=None):
+    def backward_exit(self, x, v):
         """(t_b, x_b): backward exit time and point; t_b = 0 on immediate exit."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        cls = self.domain.classify_point(x, band=1e-9)
+        cls = self.domain.classify_point(x)
         if cls is PointClass.OUTSIDE:
             raise ValueError("position lies outside the closed domain")
         on_bdry = cls is PointClass.BOUNDARY
@@ -221,16 +221,14 @@ class BilliardEngine:
             nd = float(np.dot(n, v)) / math.sqrt(float(v @ v))
             if nd < -self.graze_threshold:
                 return 0.0, x.copy()
-        if max_s is None:
-            max_s = 100.0 * self.domain.r_max / math.sqrt(float(v @ v))
+        max_s = 100.0 * self.domain.r_max / math.sqrt(float(v @ v))
         s = self._first_exit(x, -v, max_s, from_boundary=on_bdry)
         if s is None:
             raise NumericsError("no backward exit found within the search horizon")
         return s, x - s * v
 
-    def forward_exit(self, x, v, max_s=None):
-        t, xb = self.backward_exit(x, -np.asarray(v, dtype=float), max_s=max_s)
-        return t, xb
+    def forward_exit(self, x, v):
+        return self.backward_exit(x, -np.asarray(v, dtype=float))
 
     # -- reflection -------------------------------------------------------
 
@@ -238,10 +236,6 @@ class BilliardEngine:
         """Specular reflection v - 2 (n.v) n at the boundary point x_b."""
         v = np.asarray(v, dtype=float)
         n = self.domain.unit_normal_at(np.asarray(x_b, dtype=float))
-        return v - 2.0 * float(np.dot(n, v)) * n
-
-    def _reflect_at(self, tau, phi, v):
-        n = self.domain.outward_normal(tau, phi)
         return v - 2.0 * float(np.dot(n, v)) * n
 
     # -- cycles -----------------------------------------------------------
@@ -283,7 +277,7 @@ class BilliardEngine:
         drift_v = 0.0
         drift_w = 0.0
 
-        cls = dom.classify_point(x, band=1e-9)
+        cls = dom.classify_point(x)
         if cls is PointClass.OUTSIDE:
             raise ValueError("origin position lies outside the closed domain")
         on_bdry = cls is PointClass.BOUNDARY
@@ -298,7 +292,8 @@ class BilliardEngine:
                 # immediate exit in the travel direction: zero-length chord,
                 # reflect in place (sup-empty-set convention)
                 sp = dom.boundary_params(x, phi_hint=phi)
-                v_out = self._reflect_at(sp.tau, sp.phi, v)
+                n = dom.outward_normal(sp.tau, sp.phi)
+                v_out = v - 2.0 * float(np.dot(n, v)) * n
                 traj.events.append(BounceEvent(
                     k=1, t=t, x=x.copy(), tau=sp.tau, phi=phi,
                     v_in=v.copy(), v_out=v_out, normal_dot=nd))
@@ -322,13 +317,14 @@ class BilliardEngine:
             phi += dphi
             sp = dom.boundary_params(x_b, phi_hint=phi)
             n = dom.outward_normal(sp.tau, sp.phi)
-            nd = float(np.dot(n, v)) / speed0
+            dn = float(np.dot(n, v))
+            nd = dn / speed0
             remaining -= s * speed0
             t += direction * s
             graze_cls, stop = grazing.GrazingClass.NON_GRAZING, None
             if abs(nd) < self.graze_threshold:
                 graze_cls, stop = self._graze_stop(sp.xyz, v, direction)
-            v_out = v if stop is not None else self._reflect_at(sp.tau, sp.phi, v)
+            v_out = v if stop is not None else v - 2.0 * dn * n
             k += 1
             traj.events.append(BounceEvent(
                 k=k, t=t, x=x_b, tau=sp.tau, phi=phi,
@@ -469,8 +465,7 @@ class BilliardEngine:
 # -- export ---------------------------------------------------------------
 
 
-def trajectory_to_jsonl(traj: Trajectory, domain: ToroidalDomain, seed=None,
-                        extra_header=None):
+def trajectory_to_jsonl(traj: Trajectory, domain: ToroidalDomain, seed=None):
     """Serialize a trajectory as JSON Lines: header record then one record
     per bounce event."""
     header = {
@@ -485,8 +480,6 @@ def trajectory_to_jsonl(traj: Trajectory, domain: ToroidalDomain, seed=None,
         "total_length": traj.total_length,
         "diagnostics": traj.diagnostics,
     }
-    if extra_header:
-        header.update(extra_header)
     lines = [json.dumps(header, sort_keys=True)]
     for ev in traj.events:
         lines.append(json.dumps({

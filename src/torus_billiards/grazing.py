@@ -30,7 +30,8 @@ class GrazingClass(enum.Enum):
 DEFAULT_GRAZE_THRESHOLD = 1e-7
 DEFAULT_ZH_BAND = 1e-3
 LADDER_BASE_FRACTION = 1e-2
-LADDER_RUNGS = 3
+# largest |n.w| of a direction w taken as tangent
+TANGENT_TOL = 1e-10
 
 
 def principal_curvatures(domain: ToroidalDomain, tau):
@@ -49,12 +50,12 @@ def local_curvature_radius(domain: ToroidalDomain, tau):
     return 1.0 / max(abs(float(k1)), abs(float(k2)), 1e-12)
 
 
-def normal_curvature(domain: ToroidalDomain, tau, phi, w, tol=1e-10):
+def normal_curvature(domain: ToroidalDomain, tau, phi, w):
     """Euler's formula in the tangent direction w at sigma(tau, phi)."""
     w = np.asarray(w, dtype=float)
     w = w / np.linalg.norm(w)
     n = domain.outward_normal(tau, phi)
-    if abs(float(np.dot(n, w))) > tol:
+    if abs(float(np.dot(n, w))) > TANGENT_TOL:
         raise ValueError(f"direction is not tangent: n.w = {float(np.dot(n, w)):.3e}")
     k1, k2 = principal_curvatures(domain, tau)
     cos_t = float(np.dot(w, domain.phi_hat(phi)))
@@ -150,12 +151,11 @@ def classify(domain: ToroidalDomain, x, v,
 
 
 def inflection_directions(domain: ToroidalDomain, tau, phi,
-                          z_h_band=DEFAULT_ZH_BAND,
                           positive_momentum=True) -> InflectionDirections:
     """Inflection directions I1 (forward-blocked) and I2 at sigma(tau, phi).
 
-    Undefined on the outer region and inside the exclusion band around the
-    zero set of h, where the tangent-plane section degenerates.
+    Undefined on the outer region and within DEFAULT_ZH_BAND of the zero set
+    of h, where the tangent-plane section degenerates.
     """
     markers = domain.markers
     prof = domain.profile
@@ -164,9 +164,9 @@ def inflection_directions(domain: ToroidalDomain, tau, phi,
         raise UndefinedInflectionError(
             f"tau = {tau:.6g} is not in the inner region "
             f"({markers.tau1_star:.6g}, span {markers.inner_span:.6g})")
-    if markers.dist_to_z_h(prof, tau) <= z_h_band:
+    if markers.dist_to_z_h(prof, tau) <= DEFAULT_ZH_BAND:
         raise UndefinedInflectionError(
-            f"tau = {tau:.6g} lies within {z_h_band} of a zero of h; "
+            f"tau = {tau:.6g} lies within {DEFAULT_ZH_BAND} of a zero of h; "
             "inflection directions degenerate there")
     theta, c_plus, c_minus = _formal_pair(domain, tau, phi, positive_momentum)
     x = domain.sigma(tau, phi)
@@ -182,8 +182,7 @@ def inflection_directions(domain: ToroidalDomain, tau, phi,
     return InflectionDirections(tau=tau, phi=float(phi), theta=theta, I1=i1, I2=i2)
 
 
-def concave_direction(domain: ToroidalDomain, tau, phi, eta,
-                      z_h_band=DEFAULT_ZH_BAND):
+def concave_direction(domain: ToroidalDomain, tau, phi, eta):
     """Unit concave-grazing direction between I1 and I2 (eta in (0,1)).
 
     Inside the Z_h band the directions are taken as the formal angle pair.
@@ -191,7 +190,7 @@ def concave_direction(domain: ToroidalDomain, tau, phi, eta,
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     try:
-        d = inflection_directions(domain, tau, phi, z_h_band=z_h_band)
+        d = inflection_directions(domain, tau, phi)
         i1, i2 = d.I1, d.I2
     except UndefinedInflectionError:
         if not bool(domain.markers.in_inner(domain.profile, tau)):

@@ -16,6 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# finite-difference steps of the chart operators and of the frame-derivative
+# cross-check of the Christoffel table; sample points of the identity suite
+FD_STEP = 1e-3
+FRAME_FD_STEP = 1e-4
+SUITE_POINTS = 20
 
 # 4th-order central first-derivative stencil
 _C4_OFFSETS = np.array([-2, -1, 1, 2], dtype=float)
@@ -75,11 +80,11 @@ class OrthoChart:
             return 1.0 / r
         return 0.0
 
-    def christoffel_generic(self, i, j, k, x, step=1e-4):
+    def christoffel_generic(self, i, j, k, x):
         """<D_i(D_j eta), D_k eta> by finite differences; cross-check."""
         comp = lambda p: self.frame(p)[:, j - 1]
-        dij = np.array([self.d_operator(i, lambda p, c=c: comp(p)[c], x, step)
-                        for c in range(3)])
+        dij = np.array([self.d_operator(i, lambda p, c=c: comp(p)[c], x,
+                                        FRAME_FD_STEP) for c in range(3)])
         return float(dij @ self.frame(x)[:, k - 1])
 
     # -- velocity transform -----------------------------------------------
@@ -93,7 +98,7 @@ class OrthoChart:
 
     # -- differential operators -------------------------------------------
 
-    def d_operator(self, i, u, x, step=1e-3):
+    def d_operator(self, i, u, x, step=FD_STEP):
         """D_i u = (1/sqrt(g_ii)) d_i u by a 4th-order stencil.
 
         theta and z wrap periodically; an r-stencil that would leave the
@@ -120,56 +125,47 @@ class OrthoChart:
             acc += wgt * u(self.wrap(p))
         return scale * acc / step
 
-    def d2_operator(self, i, j, u, x, step=1e-3):
+    def d2_operator(self, i, j, u, x):
         """Ordered composition D_i D_j u."""
-        inner = lambda p: self.d_operator(j, u, p, step)
-        return self.d_operator(i, inner, x, step)
+        return self.d_operator(i, lambda p: self.d_operator(j, u, p), x)
 
     # -- identity residuals -----------------------------------------------
 
-    def commutator_residual(self, i, j, u, x, step=1e-3):
+    def commutator_residual(self, i, j, u, x):
         """| (D_i D_j - D_j D_i) u - (Gamma_{D,jj}^i D_j u - Gamma_{D,ii}^j D_i u) |."""
         if i == j:
             raise ValueError("commutator needs distinct indices")
-        lhs = self.d2_operator(i, j, u, x, step) - self.d2_operator(j, i, u, x, step)
-        rhs = (self.christoffel(j, j, i, x) * self.d_operator(j, u, x, step)
-               - self.christoffel(i, i, j, x) * self.d_operator(i, u, x, step))
+        lhs = self.d2_operator(i, j, u, x) - self.d2_operator(j, i, u, x)
+        rhs = (self.christoffel(j, j, i, x) * self.d_operator(j, u, x)
+               - self.christoffel(i, i, j, x) * self.d_operator(i, u, x))
         return abs(lhs - rhs)
 
-    def laplace_beltrami(self, u, x, step=1e-3):
+    def laplace_beltrami(self, u, x):
         """Delta_bel u = Delta_D u - sum_i sum_{k != i} Gamma_{D,kk}^i D_i u."""
-        lap_d = sum(self.d2_operator(i, i, u, x, step) for i in (1, 2, 3))
-        corr = sum(self.christoffel(k, k, i, x) * self.d_operator(i, u, x, step)
+        lap_d = sum(self.d2_operator(i, i, u, x) for i in (1, 2, 3))
+        corr = sum(self.christoffel(k, k, i, x) * self.d_operator(i, u, x)
                    for i in (1, 2, 3) for k in (1, 2, 3) if k != i)
         return lap_d - corr
 
-    def cylindrical_laplacian(self, u, x, step=1e-3):
+    def cylindrical_laplacian(self, u, x):
         """Analytic-form Laplacian u_rr + u_r/r + u_thth/r^2 + u_zz by FD."""
         def second(axis):
             acc = -2.5 * u(self.wrap(x))
             for off, wgt in ((1, 4.0 / 3.0), (2, -1.0 / 12.0)):
                 for sgn in (1.0, -1.0):
                     p = np.array(x, dtype=float)
-                    p[axis] += sgn * off * step
+                    p[axis] += sgn * off * FD_STEP
                     acc += wgt * u(self.wrap(p))
-            return acc / step ** 2
-
-        def first(axis):
-            acc = 0.0
-            for off, wgt in zip(_C4_OFFSETS, _C4_WEIGHTS):
-                p = np.array(x, dtype=float)
-                p[axis] += off * step
-                acc += wgt * u(self.wrap(p))
-            return acc / step
+            return acc / FD_STEP ** 2
 
         r = x[2]
-        return (second(2) + first(2) / r + second(0) / r ** 2 + second(1))
+        return (second(2) + self.d_operator(3, u, x) / r + second(0) / r ** 2
+                + second(1))
 
-    def laplace_beltrami_residual(self, u, x, step=1e-3, ref=None):
-        """|Delta_bel u - Delta_cyl u| with Delta_cyl analytic or supplied."""
-        if ref is None:
-            ref = self.cylindrical_laplacian(u, x, step)
-        return abs(self.laplace_beltrami(u, x, step) - ref)
+    def laplace_beltrami_residual(self, u, x):
+        """|Delta_bel u - Delta_cyl u|."""
+        return abs(self.laplace_beltrami(u, x)
+                   - self.cylindrical_laplacian(u, x))
 
     def zeta_residuals(self, x):
         """Residuals of the three first-order correction systems.
@@ -204,25 +200,22 @@ class OrthoChart:
         )
         return res
 
-    def dv_identity_residual(self, i, j, x, v, step=1e-3):
+    def dv_identity_residual(self, i, j, x, v):
         """|D_i v_j - sum_k Gamma_{D,ij}^k v_k| for a fixed Cartesian v."""
         v = np.asarray(v, dtype=float)
         comp = lambda p: float(self.transform_velocity(v, p)[j - 1])
-        lhs = self.d_operator(i, comp, x, step)
+        lhs = self.d_operator(i, comp, x)
         vv = self.transform_velocity(v, x)
         rhs = sum(self.christoffel(i, j, k, x) * vv[k - 1] for k in (1, 2, 3))
         return abs(lhs - rhs)
 
 
-def identity_suite(chart: OrthoChart = None, n_points=20, step=1e-3, seed=7):
+def identity_suite(chart: OrthoChart, seed=7):
     """Run the full appendix identity suite; returns {name: max residual}."""
-    if chart is None:
-        chart = OrthoChart()
     rng = np.random.default_rng(seed)
-    pts = np.stack([rng.uniform(0, TWO_PI, n_points),
-                    rng.uniform(0, chart.H, n_points),
-                    rng.uniform(chart.R1 + 0.3, chart.R2 - 0.3, n_points)],
-                   axis=1)
+    n = SUITE_POINTS
+    pts = np.stack([rng.uniform(0, TWO_PI, n), rng.uniform(0, chart.H, n),
+                    rng.uniform(chart.R1 + 0.3, chart.R2 - 0.3, n)], axis=1)
     fields = [
         lambda p: p[2] * np.cos(p[0]),                       # harmonic
         lambda p: p[2] ** 2,
@@ -246,17 +239,17 @@ def identity_suite(chart: OrthoChart = None, n_points=20, step=1e-3, seed=7):
         float(np.abs(chart.frame(x).T @ chart.frame(x) - np.eye(3)).max())
         for x in pts)
     out["commutator"] = max(
-        chart.commutator_residual(i, j, u, x, step)
+        chart.commutator_residual(i, j, u, x)
         for x in pts[:6] for u in fields for (i, j) in ((1, 3), (2, 3), (1, 2)))
     out["laplace_beltrami"] = max(
-        chart.laplace_beltrami_residual(u, x, step)
+        chart.laplace_beltrami_residual(u, x)
         for x in pts[:6] for u in fields)
     out["zeta"] = max(r for x in pts for grp in chart.zeta_residuals(x).values()
                       for r in grp)
     rng2 = np.random.default_rng(seed + 1)
     vs = rng2.standard_normal((4, 3))
     out["dv_identity"] = max(
-        chart.dv_identity_residual(i, j, x, v, step)
+        chart.dv_identity_residual(i, j, x, v)
         for x in pts[:4] for v in vs for i in (1, 2, 3) for j in (1, 2, 3))
     out["christoffel_generic_match"] = max(
         abs(chart.christoffel_generic(i, j, k, x)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import torus_billiards as tb
 from torus_billiards import analysis
 from torus_billiards.cli import main, load_config, config_hash, ConfigError
 
@@ -142,6 +143,25 @@ def test_simulate_bad_direction(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("cfg,argv", [
+    ({"tolerances": {"graze_threshold": "abc"}}, ["inflection-map"]),
+    ({"curve": {"kind": "circle", "R": "2"}}, ["inflection-map"]),
+    ({"classify_boundary": {"n_tau": None}}, ["classify-boundary"]),
+    ({"caps": {"max_bounces": [1]},
+      "simulate": {"x": [2.0, 0.0, 0.0], "v": [1.0, 0.0, 0.0]}}, ["simulate"]),
+    ({"seed": True}, ["inflection-map"]),
+], ids=["string-tolerance", "string-radius", "null-count", "list-cap",
+        "boolean-seed"])
+def test_wrong_json_type_exit_code(tmp_path, capsys, cfg, argv):
+    # each of these ended in a traceback, or (the seed) was accepted
+    code, text = run(tmp_path, cfg, argv)
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith(("config error: ", "invalid input: "))
+    assert err.count("\n") == 1
+
+
 # -- scan subcommands ------------------------------------------------------
 
 
@@ -178,6 +198,24 @@ def test_recurrence_check(tmp_path):
     code, text = run(tmp_path, cfg, ["recurrence-check"])
     assert code == 0
     assert text.strip().split("\n")[1] == "i,d_tau,d_phi,r1,r2"
+
+
+def test_recurrence_check_reads_z_h_band(tmp_path):
+    # an orbit creeping along the inner region near tau = 2 pi / 3; every
+    # tau of the circle lies within 4 of its one zero of h, pi
+    dom = tb.CircleTorusDomain()
+    tau = 2.0 * np.pi / 3.0
+    d = tb.inflection_directions(dom, tau, 0.0)
+    v = np.cos(0.1) * d.I1 + np.sin(0.1) * dom.phi_hat(0.0)
+    block = {"x": dom.sigma(tau, 0.0).tolist(), "v": v.tolist(), "length": 3.0}
+    rows = []
+    for band in (1e-3, 4.0):
+        cfg = {"recurrence_check": block, "tolerances": {"z_h_band": band}}
+        code, text = run(tmp_path, cfg, ["recurrence-check"])
+        assert code == 0
+        rows.append(len(text.strip().split("\n")) - 2)
+    assert rows[0] > 0
+    assert rows[1] == 0
 
 
 def test_jacobian_cli(tmp_path):
@@ -306,7 +344,10 @@ def test_badset_invalid_input_exit_code(tmp_path, monkeypatch, capsys, flags):
     {"length": -3.0},                   # was a completed run of length 0
     {"v": [float("nan"), 0.5, 0.0]},    # wrote NaN into the header
     {"t": float("nan")},                # wrote NaN into every record
-], ids=["nan-length", "negative-length", "nan-velocity", "nan-time"])
+    {"x": {"a": 1}},                    # was a traceback
+    {"x": [2.0, 0.0]},                  # was a traceback
+], ids=["nan-length", "negative-length", "nan-velocity", "nan-time",
+        "object-position", "short-position"])
 def test_simulate_invalid_input_exit_code(tmp_path, capsys, block):
     cfg = {"simulate": dict({"x": [2.0, 0.0, 0.0], "v": [1.0, 0.0, 0.0]},
                             **block)}

@@ -190,6 +190,18 @@ def test_curve_from_samples_ellipse():
                                                                abs=1e-5)
 
 
+def test_curve_from_samples_single_h_zero():
+    # a cubic spline's curvature derivative jumps at the knots and gave
+    # two spurious zeros of h, 0.0056 either side of the true one
+    t = np.linspace(0, TWO_PI, 64, endpoint=False)
+    pts = np.stack([3.0 + 1.5 * np.cos(t), 0.8 * np.sin(t)], axis=-1)
+    zeros = tb.find_markers(tb.curve_from_samples(pts)).z_h_zeros
+    exact = tb.find_markers(tb.ellipse_generator(3.0, 1.5, 0.8)).z_h_zeros
+    assert len(exact) == 1
+    assert len(zeros) == 1
+    assert zeros[0] == pytest.approx(exact[0], abs=1e-6)
+
+
 def test_curve_from_samples_validation():
     with pytest.raises(tb.NonConformingCurveError):
         tb.curve_from_samples(np.zeros((3, 2)))

@@ -1,12 +1,19 @@
-"""Property tests of the generic signed-distance indicator.
+"""Property tests of the generic signed-distance indicator and of the
+configuration reader.
 
 The examples are derandomized, so a run is repeatable; each property draws
-at most 200 points.
+at most 200 examples.
 """
 
+import copy
+import json
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from torus_billiards.cli import BLOCK_KEYS, HANDLERS, main
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 # away from these sets the closed forms keep their digits: the distance to
@@ -42,3 +49,57 @@ def test_ellipse_grad_xi_is_unit(ellipse_domain, p):
     assume(abs(p[2]) > MARGIN or abs(rho - 3.0) > 1.5 + MARGIN)
     assume(rho > MARGIN)
     assert abs(np.linalg.norm(ellipse_domain.grad_xi(p)) - 1.0) <= 1e-12
+
+
+# -- configuration fuzz ------------------------------------------------------
+
+# a small valid block for each subcommand; numbers drawn below are bounded so
+# that every run stays short (the cap keeps a simulated orbit to 50 bounces)
+FUZZ_BASE = {
+    "caps": {"max_bounces": 50},
+    "simulate": {"x": [2.0, 0.0, 0.0], "v": [0.3, 0.9, 0.2], "length": 3.0},
+    "classify_boundary": {"n_tau": 2, "n_theta": 2},
+    "inflection_map": {"n_tau": 4},
+    "badset": {"x": [2.0, 0.0, 0.0], "eps": [0.05], "length": 2.0,
+               "samples": 8},
+    "jacobian": {"t": 1.0, "x": [2.0, 0.0, 0.0], "v": [0.3, 0.2, 0.1],
+                 "s": -1.0},
+    "recurrence_check": {"x": [2.0, 0.0, 0.0], "v": [0.1, 0.9, 0.2],
+                         "length": 3.0},
+}
+FUZZ_PATHS = [("seed",)] + [(block,) for block in sorted(BLOCK_KEYS)] + [
+    (block, key) for block in sorted(BLOCK_KEYS)
+    for key in sorted(BLOCK_KEYS[block])]
+# a small alphabet: strings may spell numbers ("1e1"), and drawing them
+# needs no Unicode tables, which take seconds to build on a first run
+text = st.text("ab1.-e", max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | text
+    | st.floats(-10.0, 10.0).filter(lambda f: f == 0.0 or abs(f) >= 1e-2)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(text, inner, max_size=3)),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(path=st.sampled_from(FUZZ_PATHS), value=json_values)
+def test_config_values_never_raise(fuzz_dir, path, value):
+    cfg = copy.deepcopy(FUZZ_BASE)
+    if len(path) == 1:
+        cfg[path[0]] = value
+    else:
+        cfg.setdefault(path[0], {})[path[1]] = value
+    cmd = path[0].replace("_", "-")
+    if cmd not in HANDLERS:
+        cmd = "simulate"
+    conf = fuzz_dir / "config.json"
+    conf.write_text(json.dumps(cfg))
+    code = main(["--config", str(conf), "--out", str(fuzz_dir / "out"), cmd])
+    # coords-check exits 3 when an identity misses its threshold
+    assert code in ((0, 1, 2, 3) if cmd == "coords-check" else (0, 1, 2))
