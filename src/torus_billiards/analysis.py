@@ -12,15 +12,14 @@ import numpy as np
 
 from . import grazing
 from .domain import BLIP_SUBDIVISIONS, ToroidalDomain
-from .engine import (XI_ROOT_TOL, BilliardEngine, PhaseState, Trajectory,
-                     TrajectoryStatus, angular_momentum)
+from .engine import (DEFAULT_MAX_BOUNCES, XI_ROOT_TOL, BilliardEngine,
+                     PhaseState, Trajectory, TrajectoryStatus,
+                     angular_momentum, graze_stop)
 from .errors import DegenerateBasisError, NonSmoothPointError, NumericsError
 
 BADSET_CHUNK = 1024
 # trim of the inner region at each end for the recurrence residuals
 EDGE_MARGIN = 0.05
-# bounce cap of the bad-set tracer; a sample that reaches it counts as bad
-TRACE_MAX_BOUNCES = 500
 
 
 # -- cross-section frame and rings ----------------------------------------
@@ -219,14 +218,17 @@ def _polish_exits(domain: ToroidalDomain, base, w, lo, hi):
     raise NumericsError(f"exit-time polish stalled at s = {s[0]:.6e}")
 
 
-def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L):
+def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
+                     max_bounces=DEFAULT_MAX_BOUNCES,
+                     graze_threshold=grazing.DEFAULT_GRAZE_THRESHOLD):
     """Vectorized backward tracer: minimum |n.v_hat| over bounces per sample.
 
-    Returns (min_nd, n_bounces, stopped_inflection) arrays.  Near-tangential
+    Returns (min_nd, n_bounces, stopped) arrays.  Near-tangential
     impacts whose exterior excursion is shorter than the march step are the
     very statistic being measured, so the rays march by the domain's march
     rule, as the engine does: a step whose ends both lie within blip_tol
-    below the boundary is subdivided to catch them.
+    below the boundary is subdivided to catch them.  Runs stop and are
+    capped as the engine's are (``graze_stop``, max_bounces).
     """
     n = len(dirs)
     pos = np.broadcast_to(np.asarray(x0, dtype=float), (n, 3)).copy()
@@ -240,7 +242,6 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L):
     stopped = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
     tol = domain.blip_tol
-    markers = domain.markers
 
     while np.any(active):
         idx = np.nonzero(active)[0]
@@ -283,31 +284,25 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L):
             min_nd[ci] = np.minimum(min_nd[ci], nd)
             bounces[ci] += 1
             remaining[ci] -= sb
-            # inflection-stop screen: tangential impact in the inner region
-            tangential = nd < 1e-4
-            if np.any(tangential):
-                rho = np.hypot(xb[:, 0], xb[:, 1])
-                taus = domain.nearest_parameter(rho, xb[:, 2])
-                inner = markers.in_inner(domain.profile, taus)
-                stop = tangential & np.asarray(inner)
-                stopped[ci[stop]] = True
-                active[ci[stop]] = False
             wr = wv - 2.0 * np.einsum("ij,ij->i", nrm, wv)[:, None] * nrm
             # nudge off the boundary so the next march step starts inside
             pos[ci] = xb + 1e-9 * wr
             xi_prev[ci] = 0.0
             w[ci] = wr
-            hit_cap = ci[bounces[ci] >= TRACE_MAX_BOUNCES]
-            active[hit_cap] = False
-            spent = ci[remaining[ci] <= 0.0]
-            active[spent] = False
+            # a run ends at the engine's stop rule (the backward run's
+            # velocity is -w), at the bounce cap or when its length is spent
+            for r in np.nonzero(nd < graze_threshold)[0]:
+                stopped[ci[r]] = graze_stop(domain, xb[r], -wv[r], -1,
+                                            graze_threshold)[1] is not None
+            active[ci[stopped[ci] | (bounces[ci] >= max_bounces)
+                      | (remaining[ci] <= 0.0)]] = False
     return min_nd, bounces, stopped
 
 
-def _trace_samples(domain: ToroidalDomain, x, L, n_samples, seed):
+def _trace_samples(engine: BilliardEngine, x, L, n_samples, seed):
     """Sample n_samples directions in chunks of BADSET_CHUNK and trace each
-    once.  Returns (units, min_nd, bounces, stopped), one entry per sample;
-    deterministic given the seed.
+    once under the engine's bounce cap and stop rule.  Returns (units,
+    min_nd, bounces, stopped), one entry per sample; deterministic.
 
     Raises ValueError unless x is a finite point of the closed domain, L is
     finite and positive and n_samples is positive.
@@ -316,7 +311,7 @@ def _trace_samples(domain: ToroidalDomain, x, L, n_samples, seed):
     if x.shape != (3,) or not np.all(np.isfinite(x)):
         raise ValueError(
             f"base point must be 3 finite coordinates, got {x.tolist()}")
-    if not domain.xi(x) <= 0.0:
+    if not engine.domain.xi(x) <= 0.0:
         raise ValueError(f"base point {x.tolist()} lies outside the domain")
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"length must be finite and positive, got {L}")
@@ -327,16 +322,18 @@ def _trace_samples(domain: ToroidalDomain, x, L, n_samples, seed):
         m = min(BADSET_CHUNK, n_samples - c0)
         dirs = _sample_directions(seed, c0 // BADSET_CHUNK, m)
         units = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        chunks.append((units, *_trace_min_graze(domain, x, dirs, L)))
+        chunks.append((units, *_trace_min_graze(
+            engine.domain, x, dirs, L, max_bounces=engine.max_bounces,
+            graze_threshold=engine.graze_threshold)))
     return tuple(np.concatenate(col) for col in zip(*chunks))
 
 
-def _badset_row(domain: ToroidalDomain, x, samples, delta, ring_specs):
+def _badset_row(engine: BilliardEngine, x, samples, delta, ring_specs):
     """Bad-set fraction at threshold delta over traced samples.
 
     A sample is bad when its backward run comes within delta of grazing,
-    stops at an inflection tangency, reaches TRACE_MAX_BOUNCES, or its
-    direction falls in any of ring_specs.
+    is ended by the engine's stop rule (stopped_at_inflection) or bounce
+    cap (max_bounces), or its direction falls in any of ring_specs.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(
@@ -344,9 +341,10 @@ def _badset_row(domain: ToroidalDomain, x, samples, delta, ring_specs):
     units, min_nd, bounces, stopped = samples
     n = len(min_nd)
     grz = min_nd < delta
-    capped = bounces >= TRACE_MAX_BOUNCES
+    # a run that stops on its last allowed bounce is stopped, as in the engine
+    capped = (bounces >= engine.max_bounces) & ~stopped
     ring = np.zeros(n, dtype=bool)
-    for flag in ring_membership(domain, x, units, ring_specs):
+    for flag in ring_membership(engine.domain, x, units, ring_specs):
         ring |= flag
     frac = int(np.count_nonzero(grz | stopped | capped | ring)) / n
     return {"delta": float(delta), "fraction": frac,
@@ -366,8 +364,8 @@ def badset_measure(engine: BilliardEngine, x, phi, eps_graze, L, n_samples,
     """
     x = np.asarray(x, dtype=float)
     n_samples = int(n_samples)
-    samples = _trace_samples(engine.domain, x, L, n_samples, seed)
-    row = _badset_row(engine.domain, x, samples, eps_graze, ring_specs or ())
+    samples = _trace_samples(engine, x, L, n_samples, seed)
+    row = _badset_row(engine, x, samples, eps_graze, ring_specs or ())
     breakdown = {k: row[k] for k in ("near_grazing", "ring_excluded",
                                      "stopped_at_inflection", "max_bounces")}
     return BadSetReport(x=x, phi=float(phi), epsilon_graze=float(eps_graze),
@@ -381,8 +379,8 @@ def badset_scan(engine: BilliardEngine, x, phi, deltas, L, n_samples, seed,
     """Bad-set rows at several thresholds delta from one traced sample set.
 
     A sample is bad at threshold delta when its backward run of length L
-    comes within delta of grazing at a bounce, stops at an inflection
-    tangency, reaches TRACE_MAX_BOUNCES bounces, or its direction falls in
+    comes within delta of grazing at a bounce, is ended by the engine's
+    stop rule, reaches the engine's max_bounces, or its direction falls in
     any of the requested ring exclusions with half-width delta
     (``ring_kinds`` from RingSpec.KINDS; 'angular-momentum' needs
     ``tau_ref``).  Each row holds delta, fraction, ci95 and the counts
@@ -392,13 +390,13 @@ def badset_scan(engine: BilliardEngine, x, phi, deltas, L, n_samples, seed,
     if speed_band is not None:
         raise ValueError("speed_band must be None: samples are unit directions")
     x = np.asarray(x, dtype=float)
-    samples = _trace_samples(engine.domain, x, L, int(n_samples), seed)
+    samples = _trace_samples(engine, x, L, int(n_samples), seed)
     rows = []
     for d in deltas:
         specs = [RingSpec(kind=k, epsilon=float(d),
                           tau_ref=tau_ref if k == "angular-momentum" else None)
                  for k in ring_kinds]
-        rows.append(_badset_row(engine.domain, x, samples, d, specs))
+        rows.append(_badset_row(engine, x, samples, d, specs))
     return rows
 
 
@@ -433,6 +431,8 @@ def jacobian_det(engine: BilliardEngine, t, x, v, s, h=1e-5) -> JacobianResult:
     v = np.asarray(v, dtype=float)
     if s >= t:
         raise ValueError("evaluation time must precede the origin time")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step h must be finite and positive, got {h}")
     speed = float(np.linalg.norm(v))
     base = engine.backward_cycles(PhaseState(x, v, t), (t - s) * speed)
     delta_t = 10.0 * h * speed

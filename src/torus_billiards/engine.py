@@ -105,6 +105,23 @@ def _wrap_pi(a):
     return (a + np.pi) % TWO_PI - np.pi
 
 
+def graze_stop(domain: ToroidalDomain, x_b, v, direction, graze_threshold):
+    """(grazing class, stop status or None) of a tangential phase at the
+    boundary point x_b; an ambiguous class stops as GRAZING_AMBIGUOUS."""
+    try:
+        g = grazing.classify(domain, x_b, v, graze_threshold)
+    except GrazingAmbiguousError:
+        return (grazing.GrazingClass.NON_GRAZING,
+                TrajectoryStatus.GRAZING_AMBIGUOUS)
+    if g is grazing.GrazingClass.CONVEX:
+        return g, TrajectoryStatus.STUCK_CONVEX_GRAZING
+    if g is grazing.GrazingClass.INFLECTION_MINUS and direction < 0:
+        return g, TrajectoryStatus.STOPPED_AT_INFLECTION_MINUS
+    if g is grazing.GrazingClass.INFLECTION_PLUS and direction > 0:
+        return g, TrajectoryStatus.STOPPED_AT_INFLECTION_PLUS
+    return g, None
+
+
 class BilliardEngine:
     """Trajectory integrator over an immutable ToroidalDomain."""
 
@@ -240,27 +257,11 @@ class BilliardEngine:
 
     # -- cycles -----------------------------------------------------------
 
-    def _graze_stop(self, x_b, v, direction):
-        """(grazing class, stop status or None) of a tangential phase at the
-        boundary point x_b; an ambiguous class stops as GRAZING_AMBIGUOUS."""
-        try:
-            g = grazing.classify(self.domain, x_b, v, self.graze_threshold)
-        except GrazingAmbiguousError:
-            return (grazing.GrazingClass.NON_GRAZING,
-                    TrajectoryStatus.GRAZING_AMBIGUOUS)
-        if g is grazing.GrazingClass.CONVEX:
-            return g, TrajectoryStatus.STUCK_CONVEX_GRAZING
-        if g is grazing.GrazingClass.INFLECTION_MINUS and direction < 0:
-            return g, TrajectoryStatus.STOPPED_AT_INFLECTION_MINUS
-        if g is grazing.GrazingClass.INFLECTION_PLUS and direction > 0:
-            return g, TrajectoryStatus.STOPPED_AT_INFLECTION_PLUS
-        return g, None
-
     def _run(self, state: PhaseState, length, direction, max_bounces, phi0):
         if not (math.isfinite(length) and length >= 0.0):
             raise ValueError(
                 f"length must be finite and non-negative, got {length}")
-        dom = self.domain
+        dom, graze = self.domain, self.graze_threshold
         x = state.x.copy()
         v = state.v.copy()
         t = state.t
@@ -284,8 +285,8 @@ class BilliardEngine:
         if on_bdry:
             n = dom.unit_normal_at(x)
             nd = float(np.dot(n, v)) / speed0
-            if abs(nd) < self.graze_threshold:
-                _, stop = self._graze_stop(x, v, direction)
+            if abs(nd) < graze:
+                _, stop = graze_stop(dom, x, v, direction, graze)
                 if stop is not None:
                     status, remaining = stop, 0.0
             elif nd * direction > 0.0:
@@ -322,8 +323,8 @@ class BilliardEngine:
             remaining -= s * speed0
             t += direction * s
             graze_cls, stop = grazing.GrazingClass.NON_GRAZING, None
-            if abs(nd) < self.graze_threshold:
-                graze_cls, stop = self._graze_stop(sp.xyz, v, direction)
+            if abs(nd) < graze:
+                graze_cls, stop = graze_stop(dom, sp.xyz, v, direction, graze)
             v_out = v if stop is not None else v - 2.0 * dn * n
             k += 1
             traj.events.append(BounceEvent(

@@ -38,6 +38,14 @@ class OrthoChart:
     R1: float = 1.0
     R2: float = 3.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.H) and self.H > 0.0):
+            raise ValueError(
+                f"period H must be finite and positive, got {self.H}")
+        if not (np.isfinite(self.R2) and 0.0 < self.R1 < self.R2):
+            raise ValueError("radii must satisfy finite 0 < R1 < R2, "
+                             f"got {self.R1}, {self.R2}")
+
     # -- frame ------------------------------------------------------------
 
     def eta(self, x):
@@ -210,8 +218,15 @@ class OrthoChart:
         return abs(lhs - rhs)
 
 
+def _max(vals):
+    """Largest of vals, NaN if any is NaN (Python max drops a NaN unless it
+    comes first)."""
+    return float(np.max(np.fromiter(vals, dtype=float)))
+
+
 def identity_suite(chart: OrthoChart, seed=7):
-    """Run the full appendix identity suite; returns {name: max residual}."""
+    """Run the full appendix identity suite; returns {name: max residual},
+    NaN where any residual is NaN."""
     rng = np.random.default_rng(seed)
     n = SUITE_POINTS
     pts = np.stack([rng.uniform(0, TWO_PI, n), rng.uniform(0, chart.H, n),
@@ -223,35 +238,35 @@ def identity_suite(chart: OrthoChart, seed=7):
         lambda p: p[2] * np.sin(p[0]) + np.sin(TWO_PI * p[1] / chart.H),
     ]
     out = {}
-    anti = 0.0
+    anti = []
     for x in pts:
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 for k in (1, 2, 3):
-                    anti = max(anti, abs(chart.christoffel(i, j, k, x)
-                                         + chart.christoffel(i, k, j, x))
-                               if j != k else
-                               abs(chart.christoffel(i, j, j, x)))
+                    anti.append(abs(chart.christoffel(i, j, k, x)
+                                    + chart.christoffel(i, k, j, x))
+                                if j != k else
+                                abs(chart.christoffel(i, j, j, x)))
                     if len({i, j, k}) == 3:
-                        anti = max(anti, abs(chart.christoffel(i, j, k, x)))
-    out["christoffel_antisymmetry"] = anti
-    out["frame_orthonormality"] = max(
+                        anti.append(abs(chart.christoffel(i, j, k, x)))
+    out["christoffel_antisymmetry"] = _max(anti)
+    out["frame_orthonormality"] = _max(
         float(np.abs(chart.frame(x).T @ chart.frame(x) - np.eye(3)).max())
         for x in pts)
-    out["commutator"] = max(
+    out["commutator"] = _max(
         chart.commutator_residual(i, j, u, x)
         for x in pts[:6] for u in fields for (i, j) in ((1, 3), (2, 3), (1, 2)))
-    out["laplace_beltrami"] = max(
+    out["laplace_beltrami"] = _max(
         chart.laplace_beltrami_residual(u, x)
         for x in pts[:6] for u in fields)
-    out["zeta"] = max(r for x in pts for grp in chart.zeta_residuals(x).values()
-                      for r in grp)
+    out["zeta"] = _max(r for x in pts
+                       for grp in chart.zeta_residuals(x).values() for r in grp)
     rng2 = np.random.default_rng(seed + 1)
     vs = rng2.standard_normal((4, 3))
-    out["dv_identity"] = max(
+    out["dv_identity"] = _max(
         chart.dv_identity_residual(i, j, x, v)
         for x in pts[:4] for v in vs for i in (1, 2, 3) for j in (1, 2, 3))
-    out["christoffel_generic_match"] = max(
+    out["christoffel_generic_match"] = _max(
         abs(chart.christoffel_generic(i, j, k, x)
             - chart.christoffel(i, j, k, x))
         for x in pts[:4] for i in (1, 2, 3) for j in (1, 2, 3)

@@ -5,6 +5,7 @@ import torus_billiards as tb
 from torus_billiards import analysis
 from torus_billiards.analysis import _sample_directions, _trace_min_graze
 from torus_billiards.engine import XI_ROOT_TOL
+from torus_billiards.grazing import DEFAULT_GRAZE_THRESHOLD
 
 from conftest import random_interior_states
 from oracles import bisect_exits, nearest_parameter_full_table
@@ -133,25 +134,34 @@ def test_sample_directions_deterministic():
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("fixture,x,n,L", [
-    ("circle_domain", [2.0, 0.0, 0.0], 64, 8.0),
-    ("generic_circle_domain", [2.0, 0.0, 0.0], 32, 4.0),
-    ("ellipse_domain", [3.0, 0.0, 0.0], 8, 3.0)],
-    ids=["quadric", "generic", "ellipse"])
-def test_tracer_matches_engine(request, fixture, x, n, L):
+@pytest.mark.parametrize("fixture,x,n,L,graze_threshold", [
+    ("circle_domain", [2.0, 0.0, 0.0], 64, 8.0, DEFAULT_GRAZE_THRESHOLD),
+    ("generic_circle_domain", [2.0, 0.0, 0.0], 32, 4.0,
+     DEFAULT_GRAZE_THRESHOLD),
+    ("ellipse_domain", [3.0, 0.0, 0.0], 8, 3.0, DEFAULT_GRAZE_THRESHOLD),
+    # a wide threshold makes convex tangencies stop some of the runs
+    ("circle_domain", [2.0, 0.0, 0.0], 64, 8.0, 0.6),
+    ("generic_circle_domain", [2.0, 0.0, 0.0], 32, 4.0, 0.6),
+    ("ellipse_domain", [3.0, 0.0, 0.0], 16, 3.0, 0.6)],
+    ids=["quadric", "generic", "ellipse",
+         "quadric-stopped", "generic-stopped", "ellipse-stopped"])
+def test_tracer_matches_engine(request, fixture, x, n, L, graze_threshold):
     """The vectorized bad-set tracer must reproduce the honest engine's
-    per-bounce minimum |n.v_hat| statistic: both march by the domain's
-    march rule."""
+    per-bounce minimum |n.v_hat| statistic and end every run where the
+    engine ends it: both march by the domain's march rule and stop by
+    graze_stop."""
     domain = request.getfixturevalue(fixture)
-    engine = tb.BilliardEngine(domain)
+    engine = tb.BilliardEngine(domain, graze_threshold=graze_threshold)
     x = np.array(x)
     dirs = _sample_directions(3, 0, n)
-    min_nd, bounces, stopped = _trace_min_graze(domain, x, dirs, L)
+    min_nd, bounces, stopped = _trace_min_graze(
+        domain, x, dirs, L, graze_threshold=graze_threshold)
     assert bounces.sum() >= n
+    if graze_threshold != DEFAULT_GRAZE_THRESHOLD:
+        assert 0 < stopped.sum() < n
     for i in range(len(dirs)):
-        if stopped[i]:
-            continue
         traj = engine.backward_cycles(tb.PhaseState(x, dirs[i], 0.0), L)
+        assert stopped[i] == (traj.status is not tb.TrajectoryStatus.COMPLETED)
         ref = min((abs(ev.normal_dot) for ev in traj.events), default=np.inf)
         assert min_nd[i] == pytest.approx(ref, abs=1e-12)
         assert bounces[i] == len(traj.events)
@@ -310,11 +320,11 @@ def test_badset_scan_rows_match_measure(circle_engine, ring_kinds):
         assert (row["ring_excluded"] > 0) == bool(ring_kinds)
 
 
-def test_badset_scan_counts_capped_samples(circle_engine, monkeypatch):
-    monkeypatch.setattr(analysis, "TRACE_MAX_BOUNCES", 3)
+def test_badset_scan_counts_capped_samples(circle_domain):
+    engine = tb.BilliardEngine(circle_domain, max_bounces=3)
     # no chord of the torus is longer than 6, so every run of length 20
     # reaches the cap
-    rows = tb.badset_scan(circle_engine, [2.0, 0.0, 0.0], 0.0, [1e-9],
+    rows = tb.badset_scan(engine, [2.0, 0.0, 0.0], 0.0, [1e-9],
                           20.0, 200, 1)
     row = rows[0]
     assert row["near_grazing"] == 0

@@ -6,6 +6,7 @@ import pytest
 import torus_billiards as tb
 from torus_billiards import analysis
 from torus_billiards.cli import main, load_config, config_hash, ConfigError
+from torus_billiards.orthochart import OrthoChart
 
 SQRT3 = np.sqrt(3.0)
 
@@ -233,6 +234,18 @@ def test_jacobian_cli_missing_state(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("h", ["0", "nan"])
+def test_jacobian_invalid_step_exit_code(tmp_path, capsys, h):
+    # --h 0 wrote {"det": NaN, ...}, which is not JSON, with exit 0
+    code, text = run(tmp_path, {}, ["jacobian",
+                                    "--state", "1,2,0,0,0.3,0.2,0.1",
+                                    "--s", "-1", "--h", h])
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
 # -- badset ----------------------------------------------------------------
 
 
@@ -260,9 +273,9 @@ def test_badset_traces_each_sample_once(tmp_path, monkeypatch):
     calls = []
     trace = analysis._trace_min_graze
 
-    def counting(domain, x0, dirs, L):
+    def counting(domain, x0, dirs, L, **kwargs):
         calls.append(len(dirs))
-        return trace(domain, x0, dirs, L)
+        return trace(domain, x0, dirs, L, **kwargs)
 
     monkeypatch.setattr(analysis, "_trace_min_graze", counting)
     code, text = run(tmp_path, {}, ["badset", "--x", "2,0,0",
@@ -271,6 +284,35 @@ def test_badset_traces_each_sample_once(tmp_path, monkeypatch):
     assert code == 0
     assert len(text.strip().split("\n")) == 2 + 3
     assert calls == [1024, 976]     # ceil(2000 / BADSET_CHUNK) chunks
+
+
+def test_badset_honours_cap_and_graze_threshold(tmp_path, circle_domain):
+    """caps.max_bounces and tolerances.graze_threshold reach the tracer,
+    and the counts are the statuses of the engine's backward runs."""
+    argv = ["badset", "--x", "2,0,0", "--length", "20", "--samples", "200",
+            "--eps", "0.001"]
+
+    def row(cfg):
+        code, text = run(tmp_path, cfg, argv)
+        assert code == 0
+        header, values = text.split("\n")[1:3]
+        return dict(zip(header.split(","), values.split(",")))
+
+    capped_row = row({"caps": {"max_bounces": 2},
+                      "tolerances": {"graze_threshold": 0.6}})
+    assert float(capped_row["fraction"]) == 1.0
+    engine = tb.BilliardEngine(circle_domain, graze_threshold=0.6,
+                               max_bounces=2)
+    statuses = [engine.backward_cycles(tb.PhaseState([2.0, 0.0, 0.0], d),
+                                       20.0).status
+                for d in analysis._sample_directions(0, 0, 200)]
+    capped = statuses.count(tb.TrajectoryStatus.MAX_BOUNCES_REACHED)
+    assert capped > 0
+    assert int(capped_row["max_bounces"]) == capped
+    assert int(capped_row["stopped_at_inflection"]) == 200 - capped
+    # the threshold alone stops some runs
+    stopped_row = row({"tolerances": {"graze_threshold": 0.6}})
+    assert int(stopped_row["stopped_at_inflection"]) > 0
 
 
 def _meta_hash(text):
@@ -368,6 +410,33 @@ def test_coords_check_passes(tmp_path):
     assert lines[1] == "identity,residual,threshold,pass"
     assert all(row.endswith(",yes") for row in lines[2:])
     assert len(lines) == 2 + 7
+
+
+def test_coords_check_degenerate_chart_exit_code(tmp_path, capsys):
+    # H = 0 gave NaN residuals that every identity reported as "yes"
+    code, text = run(tmp_path, {"coords_check": {"H": 0.0}}, ["coords-check"])
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
+def test_coords_check_reports_late_nan(tmp_path, monkeypatch):
+    """A NaN residual after finite ones is reported, and fails the suite."""
+    residual = OrthoChart.commutator_residual
+    calls = []
+
+    def late_nan(self, *args):
+        calls.append(1)
+        return np.nan if len(calls) == 5 else residual(self, *args)
+
+    monkeypatch.setattr(OrthoChart, "commutator_residual", late_nan)
+    code, text = run(tmp_path, {}, ["coords-check"])
+    assert code == 3
+    rows = {l.split(",")[0]: l.split(",")[1:]
+            for l in text.strip().split("\n")[2:]}
+    assert rows.pop("commutator") == ["nan", "1e-06", "NO"]
+    assert all(r[2] == "yes" for r in rows.values())
 
 
 # -- ellipse domain through the CLI ---------------------------------------

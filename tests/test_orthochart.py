@@ -12,6 +12,15 @@ def chart():
     return OrthoChart()
 
 
+@pytest.mark.parametrize("kw", [{"H": 0.0}, {"H": -1.0}, {"H": np.inf},
+                                {"H": np.nan}, {"R1": 0.0}, {"R1": 3.0},
+                                {"R1": 2.0, "R2": 1.0}, {"R2": np.inf},
+                                {"R1": np.nan}])
+def test_chart_rejects_degenerate_inputs(kw):
+    with pytest.raises(ValueError):
+        OrthoChart(**kw)
+
+
 def test_eta_and_metric(chart):
     x = np.array([0.5, 1.0, 2.0])
     p = chart.eta(x)
