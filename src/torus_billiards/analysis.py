@@ -200,11 +200,11 @@ def _polish_exits(domain: ToroidalDomain, base, w, lo, hi):
     act = np.arange(len(s))
     for _ in range(80):
         p = base[act] + s[:, None] * w[act]
-        f = domain.xi(p)
+        f, g = domain.xi_grad(p)
         above = f > 0.0
         hi[act] = np.where(above, s, hi[act])
         lo[act] = np.where(above, lo[act], s)
-        slope = np.einsum("ij,ij->i", domain.grad_xi(p), w[act])
+        slope = np.einsum("ij,ij->i", g, w[act])
         safe = np.where(slope != 0.0, slope, 1.0)
         s_new = np.where(slope != 0.0, s - f / safe, s)
         l, h = lo[act], hi[act]
@@ -236,7 +236,7 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
     w = -vhat  # backward rays travel against the velocity
     remaining = np.full(n, float(L))
     # xi at each ray's last march point; a bounce point counts as 0
-    xi_prev = np.full(n, float(domain.xi(np.asarray(x0, dtype=float))))
+    xi_prev = np.full(n, float(domain.march_xi(x0)))
     min_nd = np.full(n, np.inf)
     bounces = np.zeros(n, dtype=int)
     stopped = np.zeros(n, dtype=bool)
@@ -247,7 +247,7 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
         idx = np.nonzero(active)[0]
         s = np.minimum(domain.march_step, remaining[idx])
         trial = pos[idx] + s[:, None] * w[idx]
-        xi = domain.xi(trial)
+        xi = domain.march_xi(trial)
         crossed = xi > 0.0
         # exit bracket [lo, hi] of each step, narrowed where a blip is found
         lo = np.zeros(len(idx))
@@ -258,7 +258,7 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
                                axis=1)[:, 1:-1]
             rays = idx[near]
             sub = pos[rays, None, :] + fine[:, :, None] * w[rays, None, :]
-            hit = domain.xi(sub.reshape(-1, 3)).reshape(fine.shape) > 0.0
+            hit = domain.march_xi(sub.reshape(-1, 3)).reshape(fine.shape) > 0.0
             has = hit.any(axis=1)
             q = np.argmax(hit, axis=1)[has]
             rows = near[has]

@@ -38,6 +38,14 @@ class PointClass(enum.Enum):
     OUTSIDE = "outside"
 
 
+def point_class(xi) -> PointClass:
+    """Class of a point whose indicator value is xi."""
+    v = float(xi)
+    if abs(v) <= BOUNDARY_BAND:
+        return PointClass.BOUNDARY
+    return PointClass.INSIDE if v < 0 else PointClass.OUTSIDE
+
+
 class SurfacePoint:
     """Boundary point carrying (tau, unwrapped phi, cartesian position)."""
 
@@ -72,6 +80,17 @@ class ToroidalDomain:
                + np.arange(-SEED_COARSE_STRIDE, SEED_COARSE_STRIDE + 1))
         table = np.vstack([pts.T, self._seed_tau])[:, win % len(pts)]
         self._win_rho, self._win_z, self._win_tau = np.ascontiguousarray(table)
+        # march certificates of the coarse samples q_i: rows act on
+        # (rho, z, 1) and give (p - q_i).n_i along the outward normal n_i of
+        # the tangent line at q_i, then along that of the chord q_i q_{i+1}
+        m = SEED_COARSE_STRIDE
+        q = np.stack([self._win_rho[:, m], self._win_z[:, m]])
+        chord = np.roll(q, -1, axis=1) - q
+        tan = np.hstack([profile.deriv1(self._win_tau[:, m]).T,
+                         chord / np.hypot(*chord)])
+        nrm = np.stack([tan[1], -tan[0]])
+        self._cert = np.vstack(
+            [nrm, -np.einsum("ij,ij->j", nrm, np.hstack([q, q]))])
         kap = profile.curvature(self._seed_tau)
         self.max_curvature = float(kap.max())
         self.r_min = float(profile.gamma1(self.markers.lambda_star))
@@ -130,16 +149,23 @@ class ToroidalDomain:
         d2 = ((rho_f[:, None] - self._win_rho[c]) ** 2
               + (z_f[:, None] - self._win_z[c]) ** 2)
         tau = self._win_tau[c, np.argmin(d2, axis=1)]
+        # a point leaves once its iterate is a fixed point of its own Newton
+        # map, so the result equals that of n_newton steps for every point
+        act = np.arange(tau.size)
         for _ in range(n_newton):
-            g = self.profile.eval(tau)
-            d1 = self.profile.deriv1(tau)
-            dd = self.profile.deriv2(tau)
-            ex = rho_f - g[..., 0]
-            ez = z_f - g[..., 1]
+            t = tau[act]
+            g = self.profile.eval(t)
+            d1 = self.profile.deriv1(t)
+            dd = self.profile.deriv2(t)
+            ex = rho_f[act] - g[..., 0]
+            ez = z_f[act] - g[..., 1]
             f = ex * d1[..., 0] + ez * d1[..., 1]
             fp = -1.0 + ex * dd[..., 0] + ez * dd[..., 1]
             fp = np.where(np.abs(fp) < 1e-12, -1.0, fp)
-            tau = tau - f / fp
+            tau[act] = t_new = t - f / fp
+            act = act[t_new != t]
+            if not act.size:
+                break
         return self.profile.wrap(tau).reshape(shape)
 
     def _foot(self, rho, z):
@@ -161,10 +187,36 @@ class ToroidalDomain:
                                          p[..., 2])
         return np.where(side >= 0.0, dist, -dist)
 
-    def grad_xi(self, p):
+    def march_xi(self, p):
+        """xi as a ray march reads it, on an (..., 3) array of points.
+
+        The value has the sign of xi, lies on the same side of -blip_tol
+        and equals xi wherever it is in (-blip_tol, 0].  A convex region
+        lies within every tangent line and holds the polygon of its coarse
+        samples, so a point beyond a tangent line is outside (the value is
+        its distance to that line) and a point deeper than blip_tol inside
+        every chord is inside (minus its distance to the nearest chord);
+        both tests keep a margin of BOUNDARY_BAND for rounding.  Only the
+        other points pay the nearest-point solve of xi.
+        """
+        p = np.asarray(p, dtype=float)
+        off = np.stack([np.hypot(p[..., 0], p[..., 1]), p[..., 2],
+                        np.ones(p.shape[:-1])], axis=-1) @ self._cert
+        k = off.shape[-1] // 2
+        out = off[..., :k].max(axis=-1)
+        val = np.where(out > BOUNDARY_BAND, out, off[..., k:].max(axis=-1))
+        exact = ((out <= BOUNDARY_BAND)
+                 & (val >= -self.blip_tol - BOUNDARY_BAND))
+        if exact.any():
+            val[exact] = self.xi(p[exact])
+        return val
+
+    def xi_grad(self, p):
+        """(xi, grad_xi) of p from one nearest-point solve."""
         p = np.asarray(p, dtype=float)
         rho = np.hypot(p[..., 0], p[..., 1])
         ex, ez, dist, side, d1 = self._foot(rho, p[..., 2])
+        xi = np.where(side >= 0.0, dist, -dist)
         on_curve = dist < 1e-13
         nr = np.where(on_curve, d1[..., 1], ex / np.where(dist == 0, 1.0, dist))
         nz = np.where(on_curve, -d1[..., 0], ez / np.where(dist == 0, 1.0, dist))
@@ -172,9 +224,12 @@ class ToroidalDomain:
         nr = nr * sign
         nz = nz * sign
         rho_safe = np.where(rho == 0, 1.0, rho)
-        return np.stack([nr * p[..., 0] / rho_safe,
-                         nr * p[..., 1] / rho_safe,
-                         nz + np.zeros_like(rho)], axis=-1)
+        return xi, np.stack([nr * p[..., 0] / rho_safe,
+                             nr * p[..., 1] / rho_safe,
+                             nz + np.zeros_like(rho)], axis=-1)
+
+    def grad_xi(self, p):
+        return self.xi_grad(p)[1]
 
     def hessian_xi(self, p):
         p = np.asarray(p, dtype=float)
@@ -193,10 +248,7 @@ class ToroidalDomain:
     # -- queries ----------------------------------------------------------
 
     def classify_point(self, p) -> PointClass:
-        v = float(self.xi(p))
-        if abs(v) <= BOUNDARY_BAND:
-            return PointClass.BOUNDARY
-        return PointClass.INSIDE if v < 0 else PointClass.OUTSIDE
+        return point_class(self.xi(p))
 
     def boundary_params(self, p, phi_hint=0.0, tol=1e-9) -> SurfacePoint:
         """Recover (tau, unwrapped phi) of a point near the boundary.
@@ -263,6 +315,11 @@ class CircleTorusDomain(ToroidalDomain):
             return (rho - self.R) ** 2 + p[2] ** 2 - self.r ** 2
         rho = np.hypot(p[..., 0], p[..., 1])
         return (rho - self.R) ** 2 + p[..., 2] ** 2 - self.r ** 2
+
+    march_xi = xi
+
+    def xi_grad(self, p):
+        return self.xi(p), self.grad_xi(p)
 
     def grad_xi(self, p):
         p = np.asarray(p, dtype=float)

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import grazing
-from .domain import BLIP_SUBDIVISIONS, ToroidalDomain, PointClass, rotation_z
+from .domain import (BLIP_SUBDIVISIONS, PointClass, ToroidalDomain,
+                     point_class, rotation_z)
 from .errors import (GrazingAmbiguousError, NumericsError,
                      TrajectoryStoppedError)
 from .grazing import DEFAULT_GRAZE_THRESHOLD
@@ -135,7 +136,7 @@ class BilliardEngine:
     # -- exit times -------------------------------------------------------
 
     def _xi_ray(self, x, v, s):
-        return self.domain.xi(x[None, :] + np.outer(np.atleast_1d(s), v))
+        return self.domain.march_xi(x[None, :] + np.outer(np.atleast_1d(s), v))
 
     def _refine_root(self, x, v, lo, hi):
         """Root of xi along the ray in [lo, hi] (xi(lo) <= 0 < xi(hi)).
@@ -146,13 +147,13 @@ class BilliardEngine:
         dom = self.domain
         s = 0.5 * (lo + hi)
         for _ in range(80):
-            p = x + s * v
-            f = float(dom.xi(p))
+            f, g = dom.xi_grad(x + s * v)
+            f = float(f)
             if f > 0.0:
                 hi = s
             else:
                 lo = s
-            slope = float(np.dot(dom.grad_xi(p), v))
+            slope = float(np.dot(g, v))
             s_new = s - f / slope if slope != 0.0 else s
             if abs(f) <= XI_ROOT_TOL:
                 return s_new if lo <= s_new <= hi else s
@@ -176,7 +177,7 @@ class BilliardEngine:
         s_lo = 0.0
         if from_boundary:
             s1 = min(step, max_s)
-            if float(self.domain.xi(x + s1 * v)) > 0.0:
+            if self.domain.march_xi(x + s1 * v) > 0.0:
                 # root inside the first step: divide out the s = 0 root and
                 # walk the lower bracket end down until the sign is reliable
                 g = lambda s: float(self.domain.xi(x + s * v)) / s
@@ -194,8 +195,7 @@ class BilliardEngine:
             s_lo = s1
             if s_lo >= max_s:
                 return None
-        xi_lo = float(self.domain.xi(x + s_lo * v)) if s_lo > 0 else \
-            float(self.domain.xi(x))
+        xi_lo = float(self.domain.march_xi(x + s_lo * v))
         batch = 256
         while s_lo < max_s:
             s_hi = min(s_lo + batch * step, max_s)
@@ -225,16 +225,24 @@ class BilliardEngine:
             s_lo, xi_lo = s_hi, float(vals[-1])
         return None
 
+    def _start_normal(self, x, what):
+        """Unit normal at a start position x on the boundary, None inside;
+        one nearest-point solve gives the class and the normal."""
+        f, g = self.domain.xi_grad(x)
+        cls = point_class(f)
+        if cls is PointClass.OUTSIDE:
+            raise ValueError(f"{what} lies outside the closed domain")
+        if cls is PointClass.BOUNDARY:
+            return g / np.linalg.norm(g, axis=-1, keepdims=True)
+        return None
+
     def backward_exit(self, x, v):
         """(t_b, x_b): backward exit time and point; t_b = 0 on immediate exit."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        cls = self.domain.classify_point(x)
-        if cls is PointClass.OUTSIDE:
-            raise ValueError("position lies outside the closed domain")
-        on_bdry = cls is PointClass.BOUNDARY
+        n = self._start_normal(x, "position")
+        on_bdry = n is not None
         if on_bdry:
-            n = self.domain.unit_normal_at(x)
             nd = float(np.dot(n, v)) / math.sqrt(float(v @ v))
             if nd < -self.graze_threshold:
                 return 0.0, x.copy()
@@ -278,12 +286,9 @@ class BilliardEngine:
         drift_v = 0.0
         drift_w = 0.0
 
-        cls = dom.classify_point(x)
-        if cls is PointClass.OUTSIDE:
-            raise ValueError("origin position lies outside the closed domain")
-        on_bdry = cls is PointClass.BOUNDARY
+        n = self._start_normal(x, "origin position")
+        on_bdry = n is not None
         if on_bdry:
-            n = dom.unit_normal_at(x)
             nd = float(np.dot(n, v)) / speed0
             if abs(nd) < graze:
                 _, stop = graze_stop(dom, x, v, direction, graze)

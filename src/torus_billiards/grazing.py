@@ -111,14 +111,14 @@ def _formal_pair(domain: ToroidalDomain, tau, phi, positive_momentum=True):
 def _sign_ladder(domain: ToroidalDomain, x, u, tau):
     """Stable signs of xi(x + s u) and xi(x - s u) over a geometric ladder."""
     s0 = LADDER_BASE_FRACTION * local_curvature_radius(domain, tau)
+    rungs = s0 / np.array([1.0, 2.0, 4.0])
+    vals = domain.xi(x + np.concatenate([rungs, -rungs])[:, None] * u)
     pattern = None
-    for s in (s0, s0 / 2.0, s0 / 4.0):
-        f = float(domain.xi(x + s * u))
-        b = float(domain.xi(x - s * u))
+    for s, f, b in zip(rungs, vals[:3], vals[3:]):
         if f == 0.0 or b == 0.0:
             raise GrazingAmbiguousError(
                 f"indicator vanished exactly on the ladder at s = {s:.3e}")
-        cur = (f > 0.0, b > 0.0)
+        cur = (bool(f > 0.0), bool(b > 0.0))
         if pattern is None:
             pattern = cur
         elif cur != pattern:

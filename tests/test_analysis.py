@@ -231,6 +231,24 @@ def test_tracer_matches_full_table_seed(generic_circle_domain, monkeypatch):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("fixture,x,n,L", TRACER_CASES + [
+    ("generic_circle_domain", [2.0, 0.0, 0.0], 1024, 1.5)])
+def test_tracer_march_matches_exact_xi(request, monkeypatch, fixture, x, n,
+                                       L):
+    """Certified march values leave the tracer's outputs bit-identical to a
+    march on the exact indicator (the last case is the benchmark's
+    generic-circle scan)."""
+    domain = request.getfixturevalue(fixture)
+    x = np.array(x)
+    dirs = _sample_directions(0, 0, n)
+    got = _trace_min_graze(domain, x, dirs, L)
+    monkeypatch.setattr(tb.ToroidalDomain, "march_xi", tb.ToroidalDomain.xi)
+    want = _trace_min_graze(domain, x, dirs, L)
+    assert got[1].sum() > 0
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 def _exit_brackets(domain, base, dirs, h=0.05, m=120):
     """(lo, hi) grid brackets of the first exit along each ray."""
     s = h * np.arange(m + 1)

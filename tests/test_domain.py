@@ -216,6 +216,18 @@ def test_xi_seed_memory(generic_circle_domain):
     assert peak < 64 * 2 ** 20
 
 
+def test_march_xi_memory(generic_circle_domain):
+    """An 8,192-point march_xi call stays under the bound of xi's."""
+    p = np.random.default_rng(4).uniform(-3.0, 3.0, (8192, 3))
+    tracemalloc.start()
+    try:
+        generic_circle_domain.march_xi(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
 def test_rotation_z():
     R = tb.rotation_z(0.7)
     assert np.allclose(R @ R.T, np.eye(3), atol=1e-14)

@@ -289,6 +289,67 @@ def test_ellipse_creep_chord_without_bounce(ellipse_domain):
         assert ellipse_domain.xi(x + chunk[:, None] * v).max() < 0.0
 
 
+def _march_starts(domain, rng):
+    """Two interior starts (part of the way from the cross-section's centre
+    to its rim) and three creep starts (near-tangential departures from the
+    inner region, as in the benchmark's creep orbits), with the length of
+    each run."""
+    prof = domain.profile
+    a, b = prof.period
+    centre = prof.eval(np.linspace(a, b, 64, endpoint=False)).mean(axis=0)
+    starts = []
+    for _ in range(2):
+        rz = centre + rng.uniform(0.0, 0.85) * (prof.eval(rng.uniform(a, b))
+                                                - centre)
+        phi = rng.uniform(0.0, TWO_PI)
+        v = rng.standard_normal(3)
+        starts.append((np.array([rz[0] * np.cos(phi), rz[0] * np.sin(phi),
+                                 rz[1]]), v / np.linalg.norm(v), 10.0))
+    m = domain.markers
+    for _ in range(3):
+        tau = float(prof.wrap(m.tau1_star
+                              + rng.uniform(0.15, 0.85) * m.inner_span))
+        phi = rng.uniform(0.0, TWO_PI)
+        theta = float(tb.inflection_angle(domain, tau))
+        alpha = theta + rng.uniform(0.2, 0.8) * (0.5 * np.pi - theta)
+        tilt = 0.02 * 4.0 ** -rng.uniform(0.0, 1.0)
+        u = (np.cos(alpha) * domain.phi_hat(phi)
+             + np.sin(alpha) * domain.meridian_tangent(tau, phi))
+        v = (np.cos(tilt) * u
+             - np.sin(tilt) * domain.outward_normal(tau, phi))
+        starts.append((domain.sigma(tau, phi), v, 3.0))
+    return starts
+
+
+@pytest.mark.parametrize("fixture", ["ellipse_domain",
+                                     "generic_circle_domain"])
+def test_engine_march_matches_exact_xi(request, monkeypatch, fixture):
+    """Certified march values leave forward orbits bit-identical to a march
+    on the exact indicator, from interior and from creep starts."""
+    domain = request.getfixturevalue(fixture)
+    eng = tb.BilliardEngine(domain, max_bounces=8)
+    starts = _march_starts(domain, np.random.default_rng(12))
+
+    def orbits():
+        out = []
+        for x, v, length in starts:
+            traj = eng.forward_cycles(tb.PhaseState(x, v), length)
+            out.append((traj.status, [(ev.x, ev.t, ev.tau, ev.normal_dot)
+                                      for ev in traj.events]))
+        return out
+
+    got = orbits()
+    monkeypatch.setattr(tb.ToroidalDomain, "march_xi", tb.ToroidalDomain.xi)
+    want = orbits()
+    assert sum(len(evs) for _, evs in got) >= 10
+    for (st_a, evs_a), (st_b, evs_b) in zip(got, want):
+        assert st_a is st_b
+        assert len(evs_a) == len(evs_b)
+        for (xa, *ra), (xb, *rb) in zip(evs_a, evs_b):
+            assert np.array_equal(xa, xb)
+            assert ra == rb
+
+
 def test_wrap_pi():
     assert _wrap_pi(np.pi + 0.1) == pytest.approx(-np.pi + 0.1, abs=1e-12)
     assert _wrap_pi(-0.3) == pytest.approx(-0.3, abs=1e-12)

@@ -126,7 +126,7 @@ def test_classify_phi_equivariance(circle_domain):
 def test_sign_ladder_ambiguous():
     class FlatIndicator(tb.CircleTorusDomain):
         def xi(self, p):
-            return 0.0
+            return np.zeros(np.shape(p)[:-1])
 
     dom = FlatIndicator()
     with pytest.raises(tb.GrazingAmbiguousError):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import torus_billiards as tb
 from torus_billiards.cli import BLOCK_KEYS, HANDLERS, main
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -51,6 +52,54 @@ def test_ellipse_grad_xi_is_unit(ellipse_domain, p):
     assert abs(np.linalg.norm(ellipse_domain.grad_xi(p)) - 1.0) <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def march_domains(generic_circle_domain, ellipse_domain):
+    """The generic circle, the ellipse, a 64-point sampled circle and an
+    ellipse without mirror symmetry (semi-axes 1.5 and 0.8 about (3, 0),
+    tilted 0.3 rad, 256 samples from t = 0.37)."""
+    t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    circle = np.stack([2.0 + np.cos(t), np.sin(t)], axis=-1)
+    t = 0.37 + np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    c, s = np.cos(0.3), np.sin(0.3)
+    x, z = 1.5 * np.cos(t), 0.8 * np.sin(t)
+    tilted = np.stack([3.0 + c * x - s * z, s * x + c * z], axis=-1)
+    return [generic_circle_domain, ellipse_domain,
+            tb.ToroidalDomain(tb.curve_from_samples(circle)),
+            tb.ToroidalDomain(tb.curve_from_samples(tilted))]
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(k=st.integers(0, 3), box=st.tuples(unit, unit, unit),
+       tau=unit, phi=unit, depth=st.floats(-6.0, -1.0),
+       outward=st.booleans())
+def test_march_xi_agrees_with_xi(march_domains, k, box, tau, phi, depth,
+                                 outward):
+    """On a point of the bounding box and one within 1e-6 to 1e-1 of the
+    boundary, march_xi and xi have the same sign and the same side of
+    -blip_tol, and are equal where march_xi lies in (-blip_tol, 0]."""
+    dom = march_domains[k]
+    prof = dom.profile
+    g = prof.eval(np.linspace(*prof.period, 256, endpoint=False))
+    lo = np.array([-g[:, 0].max(), -g[:, 0].max(), g[:, 1].min()]) - 0.2
+    hi = np.array([g[:, 0].max(), g[:, 0].max(), g[:, 1].max()]) + 0.2
+    t = prof.period[0] + tau * prof.period_length
+    d = (1.0 if outward else -1.0) * 10.0 ** depth
+    rz = prof.eval(t) + d * dom.outward_normal(t, 0.0)[[0, 2]]
+    a = 2.0 * np.pi * phi
+    p = np.array([lo + np.array(box) * (hi - lo),
+                  [rz[0] * np.cos(a), rz[0] * np.sin(a), rz[1]]])
+    got, want = dom.march_xi(p), dom.xi(p)
+    tol = dom.blip_tol
+    assert np.array_equal(np.sign(got), np.sign(want))
+    assert np.array_equal(got > -tol, want > -tol)
+    band = (got > -tol) & (got <= 0.0)
+    assert np.array_equal(got[band], want[band])
+
+
+# -- configuration fuzz ------------------------------------------------------
 # -- configuration fuzz ------------------------------------------------------
 
 # a small valid block for each subcommand; numbers drawn below are bounded so
