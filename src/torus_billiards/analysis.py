@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grazing
-from .domain import BLIP_SUBDIVISIONS, ToroidalDomain
+from .domain import ToroidalDomain
 from .engine import (DEFAULT_MAX_BOUNCES, XI_ROOT_TOL, BilliardEngine,
                      PhaseState, Trajectory, TrajectoryStatus,
                      angular_momentum, graze_stop)
@@ -254,17 +254,12 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
         hi = s.copy()
         near = np.nonzero((xi > -tol) & ~crossed & (xi_prev[idx] > -tol))[0]
         if near.size:
-            fine = np.linspace(0.0, s[near], BLIP_SUBDIVISIONS + 1,
-                               axis=1)[:, 1:-1]
             rays = idx[near]
-            sub = pos[rays, None, :] + fine[:, :, None] * w[rays, None, :]
-            hit = domain.march_xi(sub.reshape(-1, 3)).reshape(fine.shape) > 0.0
-            has = hit.any(axis=1)
-            q = np.argmax(hit, axis=1)[has]
+            has, b_lo, b_hi = domain.blip_brackets(pos[rays], w[rays],
+                                                   lo[near], hi[near])
             rows = near[has]
             crossed[rows] = True
-            hi[rows] = fine[has, q]
-            lo[rows] = np.where(q > 0, fine[has, q - 1], 0.0)
+            lo[rows], hi[rows] = b_lo, b_hi
         ok = ~crossed
         ii = idx[ok]
         pos[ii] = trial[ok]

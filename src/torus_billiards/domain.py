@@ -95,6 +95,9 @@ class ToroidalDomain:
         self.max_curvature = float(kap.max())
         self.r_min = float(profile.gamma1(self.markers.lambda_star))
         self.r_max = float(profile.gamma1(self._seed_tau).max())
+        # the domain lies in the cylinder rho <= r_max over the generator's z
+        # range, so no segment inside it is longer than this
+        self.diameter = float(np.hypot(2.0 * self.r_max, np.ptp(pts[:, 1])))
         # march rule of both tracers: the step along a unit ray, and the
         # depth (chord sagitta bound times the largest boundary |grad xi|)
         # within which both ends of a step may hide an exterior blip
@@ -210,6 +213,24 @@ class ToroidalDomain:
         if exact.any():
             val[exact] = self.xi(p[exact])
         return val
+
+    def blip_brackets(self, base, w, lo, hi):
+        """Exits hidden inside near march intervals [lo, hi] of the rays
+        base + s w; base and w are (k, 3) arrays or one 3-vector each.
+
+        march_xi is read at the BLIP_SUBDIVISIONS - 1 evenly spaced inner
+        points of each interval.  Returns (has, lo, hi): whether a ray has
+        an outside inner point and, for the rays that have one, the bracket
+        of the first.
+        """
+        fine = lo[:, None] + np.arange(1, BLIP_SUBDIVISIONS) * (
+            (hi - lo) / BLIP_SUBDIVISIONS)[:, None]
+        sub = base[..., None, :] + fine[..., None] * w[..., None, :]
+        hit = self.march_xi(sub.reshape(-1, 3)).reshape(fine.shape) > 0.0
+        has = hit.any(axis=1)
+        q = np.argmax(hit, axis=1)[has]
+        return (has, np.where(q > 0, fine[has, q - 1], lo[has]),
+                fine[has, q])
 
     def xi_grad(self, p):
         """(xi, grad_xi) of p from one nearest-point solve."""

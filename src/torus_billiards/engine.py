@@ -19,8 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import grazing
-from .domain import (BLIP_SUBDIVISIONS, PointClass, ToroidalDomain,
-                     point_class, rotation_z)
+from .domain import PointClass, ToroidalDomain, point_class, rotation_z
 from .errors import (GrazingAmbiguousError, NumericsError,
                      TrajectoryStoppedError)
 from .grazing import DEFAULT_GRAZE_THRESHOLD
@@ -135,9 +134,6 @@ class BilliardEngine:
 
     # -- exit times -------------------------------------------------------
 
-    def _xi_ray(self, x, v, s):
-        return self.domain.march_xi(x[None, :] + np.outer(np.atleast_1d(s), v))
-
     def _refine_root(self, x, v, lo, hi):
         """Root of xi along the ray in [lo, hi] (xi(lo) <= 0 < xi(hi)).
 
@@ -165,65 +161,55 @@ class BilliardEngine:
     def _first_exit(self, x, v, max_s, from_boundary):
         """Smallest s in (0, max_s] with xi(x + s v) = 0, or None.
 
-        ``from_boundary`` divides out the known root at s = 0 on the first
-        interval so near-tangential short chords are still resolved.  The
-        march step and the blip test are the domain's march rule.
+        The march points lie whole march steps from x, the last one clipped
+        to max_s, and reach at most one step past the domain's diameter,
+        where a ray with no exit raises NumericsError.  A boundary start
+        (``from_boundary``) reads 0, and a bracket from it divides out that
+        known root, so near-tangential short chords are still resolved.
         """
-        speed = math.sqrt(float(v @ v))
-        step = self.domain.march_step / speed
-        tol = self.domain.blip_tol
         if max_s <= 0.0:
             return None
-        s_lo = 0.0
+        dom = self.domain
+        step = dom.march_step / math.sqrt(float(v @ v))
+        n = math.floor(dom.diameter / dom.march_step) + 1
+        if max_s < n * step:
+            n = math.ceil(max_s / step)
+        s = np.minimum(step * np.arange(n + 1), max_s)
+        vals = dom.march_xi(x + s[int(from_boundary):, None] * v)
         if from_boundary:
-            s1 = min(step, max_s)
-            if self.domain.march_xi(x + s1 * v) > 0.0:
-                # root inside the first step: divide out the s = 0 root and
-                # walk the lower bracket end down until the sign is reliable
-                g = lambda s: float(self.domain.xi(x + s * v)) / s
-                sl = s1 / 4.0
-                while sl > 1e-15 * s1 and g(sl) >= 0.0:
-                    sl /= 4.0
-                if g(sl) >= 0.0:
-                    raise GrazingAmbiguousError(
-                        "tangential departure could not be bracketed")
-                s_root = brentq(g, sl, s1, xtol=1e-15, rtol=1e-15)
-                lo = max(s_root - 1e-9 * s1, sl)
-                if float(self.domain.xi(x + lo * v)) < 0.0:
-                    return self._refine_root(x, v, lo, s1)
-                return s_root
-            s_lo = s1
-            if s_lo >= max_s:
-                return None
-        xi_lo = float(self.domain.march_xi(x + s_lo * v))
-        batch = 256
-        while s_lo < max_s:
-            s_hi = min(s_lo + batch * step, max_s)
-            n = max(int(np.ceil((s_hi - s_lo) / step)), 1)
-            grid = np.linspace(s_lo, s_hi, n + 1)[1:]
-            vals = self._xi_ray(x, v, grid)
-            pos = np.nonzero(vals > 0.0)[0]
-            k_cross = int(pos[0]) if pos.size else n
-            # near-surface pairs ahead of the first crossing may hide a short
-            # blip (exit and re-entry between grid points) — subdivide them
-            prev = np.concatenate(([xi_lo], vals[:-1]))
-            near = np.nonzero((vals > -tol) & (vals <= 0.0) & (prev > -tol))[0]
-            for j in near:
-                if j >= k_cross:
-                    break
-                a = s_lo if j == 0 else grid[j - 1]
-                fine = np.linspace(a, grid[j], BLIP_SUBDIVISIONS + 1)[1:-1]
-                fvals = self._xi_ray(x, v, fine)
-                hit = np.nonzero(fvals > 0.0)[0]
-                if hit.size:
-                    q = int(hit[0])
-                    lo = a if q == 0 else fine[q - 1]
-                    return self._refine_root(x, v, lo, fine[q])
-            if pos.size:
-                a = s_lo if k_cross == 0 else grid[k_cross - 1]
-                return self._refine_root(x, v, a, grid[k_cross])
-            s_lo, xi_lo = s_hi, float(vals[-1])
-        return None
+            vals = np.concatenate(([0.0], vals))
+        pos = np.flatnonzero(vals > 0.0)
+        k = pos[0] if pos.size else n + 1   # the first point outside
+        # near-surface pairs ahead of the first crossing may hide a short
+        # blip (exit and re-entry between march points)
+        near = np.flatnonzero((vals[1:k] > -dom.blip_tol)
+                              & (vals[:k - 1] > -dom.blip_tol))
+        if near.size:
+            has, lo, hi = dom.blip_brackets(x, v, s[near], s[near + 1])
+        if near.size and has.any():
+            lo, hi = float(lo[0]), float(hi[0])
+        elif pos.size:
+            lo, hi = float(s[k - 1]), float(s[k])
+        elif s[-1] < max_s:
+            raise NumericsError("no exit within the domain's diameter")
+        else:
+            return None
+        if not (from_boundary and lo == 0.0):
+            return self._refine_root(x, v, lo, hi)
+        # the bracket starts at the known root s = 0: divide it out and
+        # walk the lower bracket end down until the sign is reliable
+        g = lambda t: float(dom.xi(x + t * v)) / t
+        sl = hi / 4.0
+        while sl > 1e-15 * hi and g(sl) >= 0.0:
+            sl /= 4.0
+        if g(sl) >= 0.0:
+            raise GrazingAmbiguousError(
+                "tangential departure could not be bracketed")
+        s_root = brentq(g, sl, hi, xtol=1e-15, rtol=1e-15)
+        lo = max(s_root - 1e-9 * hi, sl)
+        if float(dom.xi(x + lo * v)) < 0.0:
+            return self._refine_root(x, v, lo, hi)
+        return s_root
 
     def _start_normal(self, x, what):
         """Unit normal at a start position x on the boundary, None inside;
@@ -246,10 +232,7 @@ class BilliardEngine:
             nd = float(np.dot(n, v)) / math.sqrt(float(v @ v))
             if nd < -self.graze_threshold:
                 return 0.0, x.copy()
-        max_s = 100.0 * self.domain.r_max / math.sqrt(float(v @ v))
-        s = self._first_exit(x, -v, max_s, from_boundary=on_bdry)
-        if s is None:
-            raise NumericsError("no backward exit found within the search horizon")
+        s = self._first_exit(x, -v, math.inf, from_boundary=on_bdry)
         return s, x - s * v
 
     def forward_exit(self, x, v):

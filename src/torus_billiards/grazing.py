@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import h_value
 from .domain import ToroidalDomain
 from .errors import GrazingAmbiguousError, UndefinedInflectionError
 
@@ -132,14 +133,14 @@ def classify(domain: ToroidalDomain, x, v,
     """Classify a tangential boundary phase by indicator sign sampling."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    n = domain.unit_normal_at(x)
+    sp = domain.boundary_params(x, tol=1e-6)
+    n = domain.outward_normal(sp.tau, sp.phi)
     vhat = v / np.linalg.norm(v)
     nd = float(np.dot(n, vhat))
     if abs(nd) >= graze_threshold:
         return GrazingClass.NON_GRAZING
     u = vhat - nd * n
     u = u / np.linalg.norm(u)
-    sp = domain.boundary_params(x, tol=1e-6)
     fwd_out, bwd_out = _sign_ladder(domain, x, u, sp.tau)
     if fwd_out and bwd_out:
         return GrazingClass.CONVEX
@@ -155,7 +156,9 @@ def inflection_directions(domain: ToroidalDomain, tau, phi,
     """Inflection directions I1 (forward-blocked) and I2 at sigma(tau, phi).
 
     Undefined on the outer region and within DEFAULT_ZH_BAND of the zero set
-    of h, where the tangent-plane section degenerates.
+    of h, where the tangent-plane section degenerates.  The sign of the
+    paper's h orders the formal pair: I1 turns toward increasing tau
+    exactly when h > 0.
     """
     markers = domain.markers
     prof = domain.profile
@@ -168,17 +171,13 @@ def inflection_directions(domain: ToroidalDomain, tau, phi,
         raise UndefinedInflectionError(
             f"tau = {tau:.6g} lies within {DEFAULT_ZH_BAND} of a zero of h; "
             "inflection directions degenerate there")
-    theta, c_plus, c_minus = _formal_pair(domain, tau, phi, positive_momentum)
-    x = domain.sigma(tau, phi)
-    plus_cls = _sign_ladder(domain, x, c_plus, tau)
-    if plus_cls == (True, False):
-        i1, i2 = c_plus, c_minus
-    elif plus_cls == (False, True):
-        i1, i2 = c_minus, c_plus
-    else:
+    h = float(h_value(prof, markers, tau))
+    if h == 0.0:
         raise UndefinedInflectionError(
-            f"candidate direction at tau = {tau:.6g} did not resolve as an "
-            f"inflection (sign pattern {plus_cls})")
+            f"h vanishes at tau = {tau:.6g}; inflection directions "
+            "degenerate there")
+    theta, c_plus, c_minus = _formal_pair(domain, tau, phi, positive_momentum)
+    i1, i2 = (c_plus, c_minus) if h > 0.0 else (c_minus, c_plus)
     return InflectionDirections(tau=tau, phi=float(phi), theta=theta, I1=i1, I2=i2)
 
 

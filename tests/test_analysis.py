@@ -191,6 +191,27 @@ def test_tracer_and_engine_catch_sub_step_blip(request, fixture):
     assert min_nd[0] == pytest.approx(nd, abs=1e-12)
 
 
+def test_sub_step_blip_independent_of_length_budget(circle_domain):
+    """Which near-tangential bounce a run sees depends on its ray, not on
+    its length budget: the march points lie whole steps from the ray start.
+    The ray leaves the inner equator at |n.w| = 1e-3 for 2e-3, less than
+    step/32, and both tracers agree on its bounce count at every L."""
+    domain = circle_domain
+    engine = tb.BilliardEngine(domain)
+    tau = domain.markers.lambda_star
+    w = (np.sqrt(1.0 - 1e-6) * domain.phi_hat(0.0)
+         + 1e-3 * domain.outward_normal(tau, 0.0))
+    x, v = domain.sigma(tau, 0.0) - 0.3 * w, -w
+    runs = []
+    for L in (0.6, 2.0, 2.05, 2.1, 3.0):
+        traj = engine.backward_cycles(tb.PhaseState(x, v), L)
+        runs.append([(ev.x.tolist(), ev.t, ev.normal_dot)
+                     for ev in traj.events])
+        _, bounces, _ = _trace_min_graze(domain, x, v[None], L)
+        assert bounces[0] == len(traj.events)
+    assert all(r == runs[0] for r in runs)
+
+
 # (domain fixture, base point, samples, L): the quadric, the generic circle
 # and the arc-length ellipse
 TRACER_CASES = [("circle_domain", [2.0, 0.0, 0.0], 256, 8.0),

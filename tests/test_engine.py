@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -348,6 +350,53 @@ def test_engine_march_matches_exact_xi(request, monkeypatch, fixture):
         for (xa, *ra), (xb, *rb) in zip(evs_a, evs_b):
             assert np.array_equal(xa, xb)
             assert ra == rb
+
+
+@pytest.mark.parametrize("fixture", ["circle_domain", "ellipse_domain"])
+def test_first_exit_grid_within_diameter(request, monkeypatch, fixture):
+    """The march grid of one exit reaches at most one step past the
+    domain's diameter, however long the run's length budget."""
+    domain = request.getfixturevalue(fixture)
+    eng = tb.BilliardEngine(domain, max_bounces=20)
+    march = domain.march_xi
+    sizes = []
+
+    def recorded(p):
+        if sys._getframe(1).f_code.co_name == "_first_exit":
+            sizes.append(len(p))
+        return march(p)
+
+    monkeypatch.setattr(domain, "march_xi", recorded)
+    for x, v, _ in _march_starts(domain, np.random.default_rng(13)):
+        eng.forward_cycles(tb.PhaseState(x, v), 1e9)
+    assert len(sizes) >= 20
+    assert max(sizes) <= math.ceil(domain.diameter / domain.march_step) + 1
+
+
+def test_diameter_of_circle_torus(circle_domain):
+    assert circle_domain.diameter == pytest.approx(np.hypot(6.0, 2.0),
+                                                   abs=1e-12)
+
+
+def test_exit_beyond_diameter_raises():
+    """A ray still inside one step past the domain's diameter has no exit
+    the march can find: exits and runs longer than that raise, a shorter
+    run ends in free flight."""
+    class Solid(tb.CircleTorusDomain):
+        def xi(self, p):
+            return np.full(np.shape(p)[:-1], -1.0)
+
+        march_xi = xi
+
+    eng = tb.BilliardEngine(Solid())
+    x, v = np.array([2.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])
+    with pytest.raises(tb.NumericsError):
+        eng.backward_exit(x, v)
+    with pytest.raises(tb.NumericsError):
+        eng.forward_cycles(tb.PhaseState(x, v), 100.0)
+    traj = eng.forward_cycles(tb.PhaseState(x, v), 1.0)
+    assert traj.status is TrajectoryStatus.COMPLETED
+    assert len(traj.events) == 0
 
 
 def test_wrap_pi():
