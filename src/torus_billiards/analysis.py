@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grazing
-from .domain import ToroidalDomain
+from .domain import PointClass, ToroidalDomain, point_class
 from .engine import (DEFAULT_MAX_BOUNCES, XI_ROOT_TOL, BilliardEngine,
                      PhaseState, Trajectory, TrajectoryStatus,
                      angular_momentum, graze_stop)
@@ -231,7 +231,8 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
     capped as the engine's are (``graze_stop``, max_bounces).
     """
     n = len(dirs)
-    pos = np.broadcast_to(np.asarray(x0, dtype=float), (n, 3)).copy()
+    x0 = np.asarray(x0, dtype=float)
+    pos = np.broadcast_to(x0, (n, 3)).copy()
     vhat = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     w = -vhat  # backward rays travel against the velocity
     remaining = np.full(n, float(L))
@@ -242,6 +243,41 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
     stopped = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
     tol = domain.blip_tol
+
+    def bounce(ci, xb, wv, sb):
+        """Reflect the rays ci at their exits xb, reached after sb along wv."""
+        nrm = domain.grad_xi(xb)
+        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+        nd = np.abs(np.einsum("ij,ij->i", nrm, wv))
+        min_nd[ci] = np.minimum(min_nd[ci], nd)
+        bounces[ci] += 1
+        remaining[ci] -= sb
+        wr = wv - 2.0 * np.einsum("ij,ij->i", nrm, wv)[:, None] * nrm
+        # nudge off the boundary so the next march step starts inside
+        pos[ci] = xb + 1e-9 * wr
+        xi_prev[ci] = 0.0
+        w[ci] = wr
+        # a run ends at the engine's stop rule (the backward run's
+        # velocity is -w), at the bounce cap or when its length is spent
+        for r in np.nonzero(nd < graze_threshold)[0]:
+            stopped[ci[r]] = graze_stop(domain, xb[r], -wv[r], -1,
+                                        graze_threshold)[1] is not None
+        active[ci[stopped[ci] | (bounces[ci] >= max_bounces)
+                  | (remaining[ci] <= 0.0)]] = False
+
+    # the engine's start rule at a boundary base point: a tangential ray
+    # meets the stop rule before it moves, and a ray that leaves at once
+    # bounces in place (the zero-length chord)
+    f0, g0 = domain.xi_grad(x0)
+    if point_class(f0) is PointClass.BOUNDARY:
+        nd0 = w @ (g0 / np.linalg.norm(g0))
+        for r in np.nonzero(np.abs(nd0) < graze_threshold)[0]:
+            stopped[r] = graze_stop(domain, x0, -w[r], -1,
+                                    graze_threshold)[1] is not None
+        active[stopped] = False
+        out = np.nonzero(nd0 >= graze_threshold)[0]
+        if out.size:
+            bounce(out, pos[out], w[out], np.zeros(out.size))
 
     while np.any(active):
         idx = np.nonzero(active)[0]
@@ -272,25 +308,7 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
             base = pos[ci]
             wv = w[ci]
             sb = _polish_exits(domain, base, wv, lo[crossed], hi[crossed])
-            xb = base + sb[:, None] * wv
-            nrm = domain.grad_xi(xb)
-            nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-            nd = np.abs(np.einsum("ij,ij->i", nrm, wv))
-            min_nd[ci] = np.minimum(min_nd[ci], nd)
-            bounces[ci] += 1
-            remaining[ci] -= sb
-            wr = wv - 2.0 * np.einsum("ij,ij->i", nrm, wv)[:, None] * nrm
-            # nudge off the boundary so the next march step starts inside
-            pos[ci] = xb + 1e-9 * wr
-            xi_prev[ci] = 0.0
-            w[ci] = wr
-            # a run ends at the engine's stop rule (the backward run's
-            # velocity is -w), at the bounce cap or when its length is spent
-            for r in np.nonzero(nd < graze_threshold)[0]:
-                stopped[ci[r]] = graze_stop(domain, xb[r], -wv[r], -1,
-                                            graze_threshold)[1] is not None
-            active[ci[stopped[ci] | (bounces[ci] >= max_bounces)
-                      | (remaining[ci] <= 0.0)]] = False
+            bounce(ci, base + sb[:, None] * wv, wv, sb)
     return min_nd, bounces, stopped
 
 
@@ -306,7 +324,7 @@ def _trace_samples(engine: BilliardEngine, x, L, n_samples, seed):
     if x.shape != (3,) or not np.all(np.isfinite(x)):
         raise ValueError(
             f"base point must be 3 finite coordinates, got {x.tolist()}")
-    if not engine.domain.xi(x) <= 0.0:
+    if engine.domain.classify_point(x) is PointClass.OUTSIDE:
         raise ValueError(f"base point {x.tolist()} lies outside the domain")
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"length must be finite and positive, got {L}")

@@ -307,19 +307,15 @@ def reparametrize_arclength(raw: ParametricCurve) -> ProfileCurve:
         raise NonConformingCurveError("arc-length ODE failed: " + sol.message)
 
     def t_of_s(s):
-        return sol.sol(np.atleast_1d(np.asarray(s, dtype=float)))[0]
+        s = np.asarray(s, dtype=float)
+        return sol.sol(s.ravel())[0].reshape(s.shape)
 
     def ev(s):
-        t = t_of_s(s)
-        out = raw.eval(t)
-        return out if np.ndim(s) else out[0]
+        return raw.eval(t_of_s(s))
 
     def dv1(s):
-        t = t_of_s(s)
-        d = raw.deriv1(t)
-        sp = np.hypot(d[..., 0], d[..., 1])
-        out = d / sp[..., None]
-        return out if np.ndim(s) else out[0]
+        d = raw.deriv1(t_of_s(s))
+        return d / np.hypot(d[..., 0], d[..., 1])[..., None]
 
     def dv2(s):
         t = t_of_s(s)
@@ -328,8 +324,7 @@ def reparametrize_arclength(raw: ParametricCurve) -> ProfileCurve:
         sp2 = d[..., 0] ** 2 + d[..., 1] ** 2
         dot = d[..., 0] * dd[..., 0] + d[..., 1] * dd[..., 1]
         # gamma'' = raw'' / |raw'|^2 - raw' (raw'.raw'') / |raw'|^4
-        out = dd / sp2[..., None] - d * (dot / sp2 ** 2)[..., None]
-        return out if np.ndim(s) else out[0]
+        return dd / sp2[..., None] - d * (dot / sp2 ** 2)[..., None]
 
     return ProfileCurve(ev, dv1, dv2, (0.0, total))
 

@@ -172,23 +172,22 @@ class ToroidalDomain:
         return self.profile.wrap(tau).reshape(shape)
 
     def _foot(self, rho, z):
-        """(ex, ez, dist, side, d1) of (rho, z) and its nearest generator
-        point: the offset, its length, the side (>= 0 outside) and the unit
-        tangent there."""
+        """(xi, d1) of (rho, z): its signed distance to the generator and
+        the unit tangent at its nearest generator point."""
         tau = self.nearest_parameter(rho, z)
         g = self.profile.eval(tau)
         d1 = self.profile.deriv1(tau)
         ex = rho - g[..., 0]
         ez = z - g[..., 1]
         # outward normal of the generator is (gamma2', -gamma1')
-        return ex, ez, np.hypot(ex, ez), ex * d1[..., 1] - ez * d1[..., 0], d1
+        dist = np.hypot(ex, ez)
+        return np.where(ex * d1[..., 1] - ez * d1[..., 0] >= 0.0, dist,
+                        -dist), d1
 
     def xi(self, p):
         """Signed distance to the generator in the (rho, z) half-plane."""
         p = np.asarray(p, dtype=float)
-        _, _, dist, side, _ = self._foot(np.hypot(p[..., 0], p[..., 1]),
-                                         p[..., 2])
-        return np.where(side >= 0.0, dist, -dist)
+        return self._foot(np.hypot(p[..., 0], p[..., 1]), p[..., 2])[0]
 
     def march_xi(self, p):
         """xi as a ray march reads it, on an (..., 3) array of points.
@@ -233,21 +232,16 @@ class ToroidalDomain:
                 fine[has, q])
 
     def xi_grad(self, p):
-        """(xi, grad_xi) of p from one nearest-point solve."""
+        """(xi, grad_xi) of p from one nearest-point solve; the gradient is
+        the outward normal at the nearest boundary point, turned to the
+        azimuth of p."""
         p = np.asarray(p, dtype=float)
         rho = np.hypot(p[..., 0], p[..., 1])
-        ex, ez, dist, side, d1 = self._foot(rho, p[..., 2])
-        xi = np.where(side >= 0.0, dist, -dist)
-        on_curve = dist < 1e-13
-        nr = np.where(on_curve, d1[..., 1], ex / np.where(dist == 0, 1.0, dist))
-        nz = np.where(on_curve, -d1[..., 0], ez / np.where(dist == 0, 1.0, dist))
-        sign = np.where(on_curve | (side >= 0.0), 1.0, -1.0)
-        nr = nr * sign
-        nz = nz * sign
+        xi, d1 = self._foot(rho, p[..., 2])
         rho_safe = np.where(rho == 0, 1.0, rho)
-        return xi, np.stack([nr * p[..., 0] / rho_safe,
-                             nr * p[..., 1] / rho_safe,
-                             nz + np.zeros_like(rho)], axis=-1)
+        return xi, np.stack([d1[..., 1] * p[..., 0] / rho_safe,
+                             d1[..., 1] * p[..., 1] / rho_safe,
+                             -d1[..., 0] + np.zeros_like(rho)], axis=-1)
 
     def grad_xi(self, p):
         return self.xi_grad(p)[1]

@@ -158,28 +158,36 @@ class BilliardEngine:
             s = s_new
         raise NumericsError(f"exit-time polish stalled at s = {s:.6e}")
 
-    def _first_exit(self, x, v, max_s, from_boundary):
+    def _first_exit(self, x, v, max_s, n):
         """Smallest s in (0, max_s] with xi(x + s v) = 0, or None.
 
-        The march points lie whole march steps from x, the last one clipped
-        to max_s, and reach at most one step past the domain's diameter,
-        where a ray with no exit raises NumericsError.  A boundary start
-        (``from_boundary``) reads 0, and a bracket from it divides out that
-        known root, so near-tangential short chords are still resolved.
+        ``n`` is the unit outward normal at a boundary start x, None inside.
+        A ray that leaves a boundary start at once (n.v >= graze_threshold
+        |v|) exits at s = 0 (the sup of the empty set).  The march points
+        lie whole march steps from x, the last one clipped to max_s, and
+        reach at most one step past the domain's diameter, where a ray with
+        no exit raises NumericsError.  A boundary start reads 0, and a
+        bracket from it divides out that known root, so near-tangential
+        short chords are still resolved.
         """
         if max_s <= 0.0:
             return None
         dom = self.domain
-        step = dom.march_step / math.sqrt(float(v @ v))
-        n = math.floor(dom.diameter / dom.march_step) + 1
-        if max_s < n * step:
-            n = math.ceil(max_s / step)
-        s = np.minimum(step * np.arange(n + 1), max_s)
-        vals = dom.march_xi(x + s[int(from_boundary):, None] * v)
-        if from_boundary:
-            vals = np.concatenate(([0.0], vals))
+        speed = math.sqrt(float(v @ v))
+        if (n is not None
+                and float(np.dot(n, v)) / speed >= self.graze_threshold):
+            return 0.0
+        step = dom.march_step / speed
+        m = math.floor(dom.diameter / dom.march_step) + 1
+        if max_s < m * step:
+            m = math.ceil(max_s / step)
+        s = np.minimum(step * np.arange(m + 1), max_s)
+        if n is None:
+            vals = dom.march_xi(x + s[:, None] * v)
+        else:
+            vals = np.concatenate(([0.0], dom.march_xi(x + s[1:, None] * v)))
         pos = np.flatnonzero(vals > 0.0)
-        k = pos[0] if pos.size else n + 1   # the first point outside
+        k = pos[0] if pos.size else m + 1   # the first point outside
         # near-surface pairs ahead of the first crossing may hide a short
         # blip (exit and re-entry between march points)
         near = np.flatnonzero((vals[1:k] > -dom.blip_tol)
@@ -194,7 +202,7 @@ class BilliardEngine:
             raise NumericsError("no exit within the domain's diameter")
         else:
             return None
-        if not (from_boundary and lo == 0.0):
+        if n is None or lo > 0.0:
             return self._refine_root(x, v, lo, hi)
         # the bracket starts at the known root s = 0: divide it out and
         # walk the lower bracket end down until the sign is reliable
@@ -226,13 +234,8 @@ class BilliardEngine:
         """(t_b, x_b): backward exit time and point; t_b = 0 on immediate exit."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        n = self._start_normal(x, "position")
-        on_bdry = n is not None
-        if on_bdry:
-            nd = float(np.dot(n, v)) / math.sqrt(float(v @ v))
-            if nd < -self.graze_threshold:
-                return 0.0, x.copy()
-        s = self._first_exit(x, -v, math.inf, from_boundary=on_bdry)
+        s = self._first_exit(x, -v, math.inf,
+                             self._start_normal(x, "position"))
         return s, x - s * v
 
     def forward_exit(self, x, v):
@@ -270,32 +273,18 @@ class BilliardEngine:
         drift_w = 0.0
 
         n = self._start_normal(x, "origin position")
-        on_bdry = n is not None
-        if on_bdry:
-            nd = float(np.dot(n, v)) / speed0
-            if abs(nd) < graze:
-                _, stop = graze_stop(dom, x, v, direction, graze)
-                if stop is not None:
-                    status, remaining = stop, 0.0
-            elif nd * direction > 0.0:
-                # immediate exit in the travel direction: zero-length chord,
-                # reflect in place (sup-empty-set convention)
-                sp = dom.boundary_params(x, phi_hint=phi)
-                n = dom.outward_normal(sp.tau, sp.phi)
-                v_out = v - 2.0 * float(np.dot(n, v)) * n
-                traj.events.append(BounceEvent(
-                    k=1, t=t, x=x.copy(), tau=sp.tau, phi=phi,
-                    v_in=v.copy(), v_out=v_out, normal_dot=nd))
-                v = v_out
-                on_bdry = True
+        if n is not None and abs(float(np.dot(n, v))) / speed0 < graze:
+            _, stop = graze_stop(dom, x, v, direction, graze)
+            if stop is not None:
+                status, remaining = stop, 0.0
 
-        k = len(traj.events)
+        k = 0
         while remaining > 0.0:
             ray_v = direction * v
             # relative slack so a bounce landing exactly at the length budget
             # is not lost to rounding of the accumulated chord lengths
             max_s = (remaining / speed0) * (1.0 + 1e-12) + 1e-13
-            s = self._first_exit(x, ray_v, max_s, on_bdry)
+            s = self._first_exit(x, ray_v, max_s, n)
             if s is None:
                 break  # budget exhausted in free flight
             if s * speed0 > remaining:
@@ -325,7 +314,6 @@ class BilliardEngine:
                               abs(float(angular_momentum(x_b, v_out)) - omega0)
                               / omega0)
             x, v = x_b, v_out
-            on_bdry = True
             if stop is not None:
                 status = stop
                 remaining = 0.0

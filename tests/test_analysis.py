@@ -4,6 +4,7 @@ import pytest
 import torus_billiards as tb
 from torus_billiards import analysis
 from torus_billiards.analysis import _sample_directions, _trace_min_graze
+from torus_billiards.domain import BOUNDARY_BAND
 from torus_billiards.engine import XI_ROOT_TOL
 from torus_billiards.grazing import DEFAULT_GRAZE_THRESHOLD
 
@@ -268,6 +269,112 @@ def test_tracer_march_matches_exact_xi(request, monkeypatch, fixture, x, n,
     assert got[1].sum() > 0
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def _creep_rays(domain, per_tilt):
+    """(x, v) of the creeping-ray sweep: per tilt, per_tilt points 1e-7
+    inside the middle 70% of the inner region, each with a backward ray
+    tilted inward from a random tangent direction."""
+    rng = np.random.default_rng(0)
+    m = domain.markers
+    for tilt in np.geomspace(1e-5, 3e-2, 7):
+        for _ in range(per_tilt):
+            tau = m.tau1_star + m.inner_span * rng.uniform(0.15, 0.85)
+            theta = rng.uniform(0.0, np.pi)
+            n = domain.outward_normal(tau, 0.0)
+            u = (np.cos(theta) * domain.meridian_tangent(tau, 0.0)
+                 + np.sin(theta) * domain.phi_hat(0.0))
+            w = np.cos(tilt) * u - np.sin(tilt) * n
+            yield domain.sigma(tau, 0.0) - 1e-7 * n, -w
+
+
+@pytest.mark.parametrize("fixture,per_tilt,picks", [
+    ("generic_circle_domain", 12, (16, 25)),
+    ("ellipse_domain", 3, (10, 13)),
+])
+def test_tracer_follows_engine_on_creeping_rays(request, fixture, per_tilt,
+                                                picks):
+    """Rays that creep along the inner wall at |n.v| of 1e-4 to 2e-3: the
+    tracer gives the engine's bounce count, stop and min |n.v| (a normal
+    from the foot offset used to reflect them onto other chords)."""
+    domain = request.getfixturevalue(fixture)
+    engine = tb.BilliardEngine(domain)
+    rays = list(_creep_rays(domain, per_tilt))
+    L = 0.05
+    for i in picks:
+        x, v = rays[i]
+        traj = engine.backward_cycles(tb.PhaseState(x, v), L)
+        min_nd, bounces, stopped = _trace_min_graze(domain, x, v[None], L)
+        assert bounces[0] == len(traj.events) > 0
+        assert stopped[0] == (traj.status is not
+                              tb.TrajectoryStatus.COMPLETED)
+        ref = min(abs(ev.normal_dot) for ev in traj.events)
+        assert abs(min_nd[0] - ref) <= 1e-10
+
+
+def test_badset_accepts_boundary_base_point(circle_engine, circle_domain):
+    """A base point whose xi rounds to just above 0 is a boundary start, as
+    in the engine; the tracer follows the engine from it."""
+    taus = np.linspace(0.0, TWO_PI, 40, endpoint=False)
+    xs = [circle_domain.sigma(t, 0.3) for t in taus]
+    assert max(float(circle_domain.xi(x)) for x in xs) > 0.0
+    dirs = _sample_directions(3, 0, 8)
+    for x in xs:
+        rows = tb.badset_scan(circle_engine, x, 0.3, [0.05], 1.0, 8, 3)
+        assert rows[0]["max_bounces"] == 0
+    min_nd, bounces, _ = _trace_min_graze(circle_domain, xs[12], dirs, 1.0)
+    for i, d in enumerate(dirs):
+        traj = circle_engine.backward_cycles(tb.PhaseState(xs[12], d), 1.0)
+        assert bounces[i] == len(traj.events)
+        if traj.events:
+            ref = min(abs(ev.normal_dot) for ev in traj.events)
+            assert abs(min_nd[i] - ref) <= 1e-10
+
+
+@pytest.mark.parametrize("fixture,off", [
+    ("circle_domain", 2.5e-10),   # the quadric's xi is 2 r times the distance
+    ("generic_circle_domain", 5e-10),
+    ("ellipse_domain", 5e-10),
+])
+def test_tracer_follows_engine_from_boundary_band(request, fixture, off):
+    """A base point outside by more than XI_ROOT_TOL but within
+    BOUNDARY_BAND is a boundary start: a ray that leaves it at once bounces
+    in place, as in the engine, where the exit polish used to stall on a
+    bracket with xi > 0 throughout."""
+    domain = request.getfixturevalue(fixture)
+    engine = tb.BilliardEngine(domain)
+    x = domain.sigma(0.1, 0.4) + off * domain.outward_normal(0.1, 0.4)
+    assert XI_ROOT_TOL < float(domain.xi(x)) <= BOUNDARY_BAND
+    n = 12 if fixture == "ellipse_domain" else 32
+    rows = tb.badset_scan(engine, x, 0.4, [0.05], 1.0, n, 5)
+    assert rows[0]["max_bounces"] == 0
+    dirs = _sample_directions(5, 0, n)
+    min_nd, bounces, stopped = _trace_min_graze(domain, x, dirs, 1.0)
+    for i, d in enumerate(dirs):
+        traj = engine.backward_cycles(tb.PhaseState(x, d), 1.0)
+        assert bounces[i] == len(traj.events)
+        assert stopped[i] == (traj.status is not
+                              tb.TrajectoryStatus.COMPLETED)
+        if traj.events:
+            ref = min(abs(ev.normal_dot) for ev in traj.events)
+            assert abs(min_nd[i] - ref) <= 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["circle_domain",
+                                     "generic_circle_domain"])
+def test_tracer_stops_tangential_start_as_engine(request, fixture):
+    """A ray tangent to a convex wall at the base point stops before it
+    moves, in the tracer as in the engine: no bounce is counted."""
+    domain = request.getfixturevalue(fixture)
+    engine = tb.BilliardEngine(domain)
+    x = np.array([3.0, 0.0, 0.0])
+    dirs = np.array([[0.0, 1.0, 0.0], [0.0, 0.6, 0.8], [0.0, -0.8, 0.6]])
+    min_nd, bounces, stopped = _trace_min_graze(domain, x, dirs, 1.0)
+    assert np.all(np.isinf(min_nd)) and np.all(stopped)
+    for i, d in enumerate(dirs):
+        traj = engine.backward_cycles(tb.PhaseState(x, d), 1.0)
+        assert traj.status is tb.TrajectoryStatus.STUCK_CONVEX_GRAZING
+        assert bounces[i] == len(traj.events) == 0
 
 
 def _exit_brackets(domain, base, dirs, h=0.05, m=120):

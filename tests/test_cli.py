@@ -381,6 +381,31 @@ def test_badset_invalid_input_exit_code(tmp_path, monkeypatch, capsys, flags):
     assert err.startswith("invalid input: ") and err.count("\n") == 1
 
 
+def test_badset_base_point_boundary_band(tmp_path, capsys, circle_domain):
+    """Base points up to BOUNDARY_BAND outside are on the boundary and are
+    traced; one with xi = 2e-9 lies outside and exits 1."""
+    x = circle_domain.sigma(np.linspace(0.0, 2.0 * np.pi, 40,
+                                        endpoint=False)[12], 0.3)
+    assert 0.0 < float(circle_domain.xi(x)) <= 1e-9
+    argv = ["badset", "--eps", "0.05", "--length", "1", "--samples", "16",
+            "--x", ",".join(repr(float(c)) for c in x)]
+    code, text = run(tmp_path, {}, argv)
+    assert code == 0
+    assert len(text.splitlines()) == 3
+    # xi = 5e-10: the rays that leave it at once bounce in place
+    code, text = run(tmp_path, {}, argv[:-1] + ["3.00000000025,0,0"],
+                     name="band.txt")
+    assert code == 0
+    assert len(text.splitlines()) == 3
+    assert float(circle_domain.xi([3.000000001, 0.0, 0.0])) == pytest.approx(
+        2e-9, rel=1e-6)
+    code, text = run(tmp_path, {}, argv[:-1] + ["3.000000001,0,0"],
+                     name="outside.txt")
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
 @pytest.mark.parametrize("block", [
     {"length": float("nan")},           # was a completed run of length 0
     {"length": -3.0},                   # was a completed run of length 0

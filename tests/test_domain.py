@@ -54,6 +54,41 @@ def test_grad_xi_matches_fd(circle_domain, generic_circle_domain):
                                atol=tol)
 
 
+@pytest.mark.parametrize("fixture", ["generic_circle_domain",
+                                     "ellipse_domain"])
+def test_xi_grad_near_boundary_is_foot_normal(request, fixture):
+    """1e-12 to 1e-10 off the boundary, grad xi is the outward normal of
+    the foot point to rounding; the offset over its length, which the
+    signed distance's gradient also is, keeps few digits there."""
+    dom = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(11)
+    a, b = dom.profile.period
+    tau = rng.uniform(a, b, 200)
+    phi = rng.uniform(0.0, TWO_PI, 200)
+    off = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-12, -10, 200)
+    n = dom.outward_normal(tau, phi)
+    _, g = dom.xi_grad(dom.sigma(tau, phi) + off[:, None] * n)
+    assert np.abs(g - n).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tb.ellipse_generator(3.0, 2.0, 1.0),
+    lambda: tb.curve_from_samples(np.stack(
+        [3.0 + 1.5 * np.cos(np.linspace(0, TWO_PI, 64, endpoint=False)),
+         0.8 * np.sin(np.linspace(0, TWO_PI, 64, endpoint=False))], axis=-1)),
+], ids=["ellipse", "samples"])
+def test_arclength_indicator_takes_any_shape(make):
+    """xi and grad_xi of an arc-length generator take an (..., 3) array,
+    and equal the flat call reshaped, bit for bit."""
+    dom = tb.ToroidalDomain(make())
+    rng = np.random.default_rng(4)
+    p = dom.sigma(rng.uniform(*dom.profile.period, 4), 0.0)
+    p = (p + rng.uniform(-0.2, 0.2, (4, 3))).reshape(2, 2, 3)
+    flat = p.reshape(-1, 3)
+    assert np.array_equal(dom.xi(p), dom.xi(flat).reshape(2, 2))
+    assert np.array_equal(dom.grad_xi(p), dom.grad_xi(flat).reshape(2, 2, 3))
+
+
 def test_hessian_xi_symmetric_and_fd(circle_domain):
     p = np.array([2.3, 0.4, 0.5])
     H = circle_domain.hessian_xi(p)

@@ -125,6 +125,34 @@ def test_boundary_start_reflects_in_place(circle_engine):
     assert len(traj.events) == 2  # in-place bounce then the inner wall
 
 
+@pytest.mark.parametrize("fixture", ["circle_domain",
+                                     "generic_circle_domain"])
+def test_boundary_start_bounce_counts_against_cap(request, fixture):
+    """The zero-length chord of a boundary start whose ray leaves at once
+    is the run's first bounce: with max_bounces=1 it is the only one."""
+    engine = tb.BilliardEngine(request.getfixturevalue(fixture))
+    x, v = np.array([3.0, 0.0, 0.0]), np.array([-0.8, 0.6, 0.0])
+    traj = engine.backward_cycles(tb.PhaseState(x, v), 5.0, max_bounces=1)
+    assert len(traj.events) == 1
+    assert traj.events[0].t == 0.0
+    assert traj.status is TrajectoryStatus.MAX_BOUNCES_REACHED
+    t, xb = engine.backward_exit(x, v)
+    assert t == 0.0
+    assert np.array_equal(xb, x)
+
+
+def test_zero_length_run_records_no_bounce(circle_engine):
+    """The bounce loop runs only while length remains: a run of length 0
+    records no bounce and keeps its velocity, also from a boundary start
+    whose ray leaves at once."""
+    x, v = np.array([3.0, 0.0, 0.0]), np.array([-0.8, 0.6, 0.0])
+    traj = circle_engine.backward_cycles(tb.PhaseState(x, v), 0.0)
+    assert traj.events == []
+    assert traj.status is TrajectoryStatus.COMPLETED
+    assert np.array_equal(traj.end_state.x, x)
+    assert np.array_equal(traj.end_state.v, v)
+
+
 def test_winding_sign(circle_engine):
     fwd = circle_engine.forward_cycles(
         tb.PhaseState([2.0, 0.0, 0.0], [0.0, 1.0, 0.0]), 12.0)
