@@ -22,9 +22,8 @@ from .engine import (BilliardEngine, PhaseState, BounceEvent, Trajectory,
                      signed_angular_momentum, trajectory_to_jsonl)
 from .grazing import (GrazingClass, InflectionDirections, classify,
                       principal_curvatures, normal_curvature,
-                      normal_curvature_from_indicator, inflection_angle,
-                      inflection_directions, concave_direction,
-                      inflection_momentum)
+                      inflection_angle, inflection_directions,
+                      concave_direction, inflection_momentum)
 from .analysis import (RingSpec, BadSetReport, JacobianResult,
                        cross_section_frame, ring_membership, bounce_count,
                        recurrence_residuals, badset_measure, badset_scan,

@@ -247,7 +247,6 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
     def bounce(ci, xb, wv, sb):
         """Reflect the rays ci at their exits xb, reached after sb along wv."""
         nrm = domain.grad_xi(xb)
-        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
         nd = np.abs(np.einsum("ij,ij->i", nrm, wv))
         min_nd[ci] = np.minimum(min_nd[ci], nd)
         bounces[ci] += 1
@@ -270,7 +269,7 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
     # bounces in place (the zero-length chord)
     f0, g0 = domain.xi_grad(x0)
     if point_class(f0) is PointClass.BOUNDARY:
-        nd0 = w @ (g0 / np.linalg.norm(g0))
+        nd0 = w @ g0
         for r in np.nonzero(np.abs(nd0) < graze_threshold)[0]:
             stopped[r] = graze_stop(domain, x0, -w[r], -1,
                                     graze_threshold)[1] is not None
@@ -348,9 +347,6 @@ def _badset_row(engine: BilliardEngine, x, samples, delta, ring_specs):
     is ended by the engine's stop rule (stopped_at_inflection) or bounce
     cap (max_bounces), or its direction falls in any of ring_specs.
     """
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(
-            f"threshold delta must be finite and positive, got {delta}")
     units, min_nd, bounces, stopped = samples
     n = len(min_nd)
     grz = min_nd < delta
@@ -368,6 +364,23 @@ def _badset_row(engine: BilliardEngine, x, samples, delta, ring_specs):
             "max_bounces": int(np.count_nonzero(capped))}
 
 
+def _badset_rows(engine: BilliardEngine, x, L, n_samples, seed, deltas,
+                 spec_rows):
+    """One _badset_row per threshold in deltas, with the ring specs of the
+    same index in spec_rows, over one traced sample set.  Every threshold
+    and angular-momentum ring is checked before any ray is traced."""
+    for d in deltas:
+        if not (math.isfinite(d) and d > 0.0):
+            raise ValueError(
+                f"threshold delta must be finite and positive, got {d}")
+    for spec in (s for specs in spec_rows for s in specs):
+        if spec.kind == "angular-momentum":
+            ring_reference_momentum(engine.domain, spec.tau_ref)
+    samples = _trace_samples(engine, x, L, n_samples, seed)
+    return [_badset_row(engine, x, samples, d, specs)
+            for d, specs in zip(deltas, spec_rows)]
+
+
 def badset_measure(engine: BilliardEngine, x, phi, eps_graze, L, n_samples,
                    seed, *, ring_specs=None) -> BadSetReport:
     """Monte Carlo estimate of the bad-direction measure at base point x.
@@ -377,8 +390,8 @@ def badset_measure(engine: BilliardEngine, x, phi, eps_graze, L, n_samples,
     """
     x = np.asarray(x, dtype=float)
     n_samples = int(n_samples)
-    samples = _trace_samples(engine, x, L, n_samples, seed)
-    row = _badset_row(engine, x, samples, eps_graze, ring_specs or ())
+    row, = _badset_rows(engine, x, L, n_samples, seed, [eps_graze],
+                        [ring_specs or ()])
     breakdown = {k: row[k] for k in ("near_grazing", "ring_excluded",
                                      "stopped_at_inflection", "max_bounces")}
     return BadSetReport(x=x, phi=float(phi), epsilon_graze=float(eps_graze),
@@ -402,15 +415,11 @@ def badset_scan(engine: BilliardEngine, x, phi, deltas, L, n_samples, seed,
     """
     if speed_band is not None:
         raise ValueError("speed_band must be None: samples are unit directions")
-    x = np.asarray(x, dtype=float)
-    samples = _trace_samples(engine, x, L, int(n_samples), seed)
-    rows = []
-    for d in deltas:
-        specs = [RingSpec(kind=k, epsilon=float(d),
-                          tau_ref=tau_ref if k == "angular-momentum" else None)
-                 for k in ring_kinds]
-        rows.append(_badset_row(engine, x, samples, d, specs))
-    return rows
+    spec_rows = [[RingSpec(kind=k, epsilon=float(d),
+                           tau_ref=tau_ref if k == "angular-momentum" else None)
+                  for k in ring_kinds] for d in deltas]
+    return _badset_rows(engine, np.asarray(x, dtype=float), L, int(n_samples),
+                        seed, deltas, spec_rows)
 
 
 # -- Jacobians ------------------------------------------------------------

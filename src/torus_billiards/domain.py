@@ -1,10 +1,10 @@
 """Solid-torus domains of revolution and their indicator functions.
 
 The boundary is sigma(tau, phi) = (gamma1 cos phi, gamma1 sin phi, gamma2).
-The indicator xi is negative inside, zero on the boundary and positive
-outside; for the circle generator it is the exact quadric
-(rho - R)^2 + z^2 - r^2, for general generators the signed distance to the
-generator in the (rho, z) half-plane.
+The indicator xi of every domain is the signed distance to the generator in
+the (rho, z) half-plane: negative inside, zero on the boundary and positive
+outside.  Its gradient is the unit outward normal at the nearest boundary
+point.  CircleTorusDomain evaluates both in closed form.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ BLIP_SUBDIVISIONS = 32
 # nearest-point seed table: its size and the stride of its coarse search
 SEED_TABLE_SIZE = 2048
 SEED_COARSE_STRIDE = 32
-# |xi| up to which a point lies on the boundary; step of the generic Hessian
+# |xi| up to which a point lies on the boundary
 BOUNDARY_BAND = 1e-9
-HESSIAN_STEP = 1e-5
 
 
 class PointClass(enum.Enum):
@@ -99,13 +98,10 @@ class ToroidalDomain:
         # range, so no segment inside it is longer than this
         self.diameter = float(np.hypot(2.0 * self.r_max, np.ptp(pts[:, 1])))
         # march rule of both tracers: the step along a unit ray, and the
-        # depth (chord sagitta bound times the largest boundary |grad xi|)
-        # within which both ends of a step may hide an exterior blip
+        # depth (the chord sagitta bound) within which both ends of a step
+        # may hide an exterior blip
         self.march_step = MARCH_STEP_FRACTION / self.max_curvature
-        taus = np.linspace(a, b, 64, endpoint=False)
-        g = self.grad_xi(self.sigma(taus, np.zeros_like(taus)))
-        self.blip_tol = (float(np.linalg.norm(g, axis=-1).max())
-                         * self.max_curvature * self.march_step ** 2)
+        self.blip_tol = self.max_curvature * self.march_step ** 2
 
     # -- geometry ---------------------------------------------------------
 
@@ -246,20 +242,6 @@ class ToroidalDomain:
     def grad_xi(self, p):
         return self.xi_grad(p)[1]
 
-    def hessian_xi(self, p):
-        p = np.asarray(p, dtype=float)
-        H = np.empty(p.shape[:-1] + (3, 3))
-        for i in range(3):
-            dp = np.zeros(3)
-            dp[i] = HESSIAN_STEP
-            H[..., i, :] = ((self.grad_xi(p + dp) - self.grad_xi(p - dp))
-                            / (2 * HESSIAN_STEP))
-        return 0.5 * (H + np.swapaxes(H, -1, -2))
-
-    def unit_normal_at(self, p):
-        g = self.grad_xi(p)
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
     # -- queries ----------------------------------------------------------
 
     def classify_point(self, p) -> PointClass:
@@ -293,7 +275,9 @@ class ToroidalDomain:
 
 
 class CircleTorusDomain(ToroidalDomain):
-    """Standard solid torus; the indicator is the exact quadric."""
+    """Standard solid torus: ToroidalDomain(circle_generator(R, r)) with
+    closed-form fast paths.  xi is the signed distance hypot(rho - R, z) - r
+    and grad_xi its unit gradient."""
 
     def __init__(self, R=2.0, r=1.0):
         self.R = float(R)
@@ -326,41 +310,27 @@ class CircleTorusDomain(ToroidalDomain):
     def xi(self, p):
         p = np.asarray(p, dtype=float)
         if p.ndim == 1:
-            rho = math.hypot(p[0], p[1])
-            return (rho - self.R) ** 2 + p[2] ** 2 - self.r ** 2
-        rho = np.hypot(p[..., 0], p[..., 1])
-        return (rho - self.R) ** 2 + p[..., 2] ** 2 - self.r ** 2
+            return math.hypot(math.hypot(p[0], p[1]) - self.R, p[2]) - self.r
+        return np.hypot(np.hypot(p[..., 0], p[..., 1]) - self.R,
+                        p[..., 2]) - self.r
 
     march_xi = xi
 
     def xi_grad(self, p):
-        return self.xi(p), self.grad_xi(p)
-
-    def grad_xi(self, p):
+        """(xi, grad_xi) from one hypot.  On the tube's centre circle the
+        gradient is the normal at tau = 0, as nearest_parameter reads it."""
         p = np.asarray(p, dtype=float)
         if p.ndim == 1:
             rho = math.hypot(p[0], p[1])
-            fac = 2.0 * (rho - self.R) / (rho if rho != 0.0 else 1.0)
-            return np.array([fac * p[0], fac * p[1], 2.0 * p[2]])
+            ex = rho - self.R
+            d = math.hypot(ex, p[2])
+            cx, cz = (ex / d, p[2] / d) if d != 0.0 else (1.0, 0.0)
+            c = cx / rho if rho != 0.0 else 0.0
+            return d - self.r, np.array([c * p[0], c * p[1], cz])
         rho = np.hypot(p[..., 0], p[..., 1])
-        rho_safe = np.where(rho == 0, 1.0, rho)
-        fac = 2.0 * (rho - self.R) / rho_safe
-        return np.stack([fac * p[..., 0], fac * p[..., 1], 2.0 * p[..., 2]],
-                        axis=-1)
-
-    def hessian_xi(self, p):
-        p = np.asarray(p, dtype=float)
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        rho = np.hypot(x, y)
-        rho = np.where(rho == 0, 1.0, rho)
-        # d(rho)/dx = x/rho; Hessian of (rho-R)^2 + z^2 - r^2
-        hxx = 2.0 * (x / rho) ** 2 + 2.0 * (rho - self.R) * (y ** 2 / rho ** 3)
-        hyy = 2.0 * (y / rho) ** 2 + 2.0 * (rho - self.R) * (x ** 2 / rho ** 3)
-        hxy = 2.0 * x * y / rho ** 2 - 2.0 * (rho - self.R) * x * y / rho ** 3
-        zero = np.zeros_like(hxx)
-        two = 2.0 + zero
-        return np.stack([
-            np.stack([hxx, hxy, zero], axis=-1),
-            np.stack([hxy, hyy, zero], axis=-1),
-            np.stack([zero, zero, two], axis=-1),
-        ], axis=-2)
+        ex = rho - self.R
+        d = np.hypot(ex, p[..., 2])
+        d_safe = np.where(d == 0, 1.0, d)
+        c = np.where(d == 0, 1.0, ex / d_safe) / np.where(rho == 0, 1.0, rho)
+        return d - self.r, np.stack([c * p[..., 0], c * p[..., 1],
+                                     p[..., 2] / d_safe], axis=-1)

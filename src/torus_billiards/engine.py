@@ -226,9 +226,7 @@ class BilliardEngine:
         cls = point_class(f)
         if cls is PointClass.OUTSIDE:
             raise ValueError(f"{what} lies outside the closed domain")
-        if cls is PointClass.BOUNDARY:
-            return g / np.linalg.norm(g, axis=-1, keepdims=True)
-        return None
+        return g if cls is PointClass.BOUNDARY else None
 
     def backward_exit(self, x, v):
         """(t_b, x_b): backward exit time and point; t_b = 0 on immediate exit."""
@@ -246,7 +244,7 @@ class BilliardEngine:
     def reflect(self, x_b, v):
         """Specular reflection v - 2 (n.v) n at the boundary point x_b."""
         v = np.asarray(v, dtype=float)
-        n = self.domain.unit_normal_at(np.asarray(x_b, dtype=float))
+        n = self.domain.grad_xi(np.asarray(x_b, dtype=float))
         return v - 2.0 * float(np.dot(n, v)) * n
 
     # -- cycles -----------------------------------------------------------
@@ -422,20 +420,11 @@ class BilliardEngine:
             raise NumericsError("azimuth 0 not reached within the time budget")
         segs, _, _ = self._segments(traj)
         phis = [traj.phi0] + [ev.phi for ev in traj.events] + [traj.phi_end]
-        times = [t for (t, _, _) in segs] + [traj.end_state.t]
         for i in range(len(segs)):
             if phis[i] <= 0.0 <= phis[i + 1]:
+                # on a straight chord, unwrapped azimuth 0 is where y = 0
                 t_k, x_k, v_k = segs[i]
-
-                def az(s):
-                    p = x_k + (s - t_k) * v_k
-                    return phis[i] + float(_wrap_pi(
-                        np.arctan2(p[1], p[0]) - np.arctan2(x_k[1], x_k[0])))
-
-                if az(times[i]) == 0.0:
-                    return float(times[i])
-                return float(brentq(az, times[i], times[i + 1],
-                                    xtol=1e-13, rtol=1e-15))
+                return float(t_k - x_k[1] / v_k[1])
         raise NumericsError("azimuth-0 crossing not bracketed")
 
 

@@ -64,16 +64,6 @@ def normal_curvature(domain: ToroidalDomain, tau, phi, w):
     return float(k1) * cos2 + float(k2) * (1.0 - cos2)
 
 
-def normal_curvature_from_indicator(domain: ToroidalDomain, tau, phi, w):
-    """Independent route: kappa_n = (w^T Hess(xi) w) / |grad xi| on the surface."""
-    w = np.asarray(w, dtype=float)
-    w = w / np.linalg.norm(w)
-    p = domain.sigma(tau, phi)
-    H = domain.hessian_xi(p)
-    g = domain.grad_xi(p)
-    return float(w @ H @ w) / float(np.linalg.norm(g))
-
-
 @dataclass
 class InflectionDirections:
     """The two zero-normal-curvature tangent directions at an inner point.

@@ -1,0 +1,155 @@
+"""Golden output corpus of the command-line subcommands.
+
+Every subcommand runs on a circle config and an ellipse config with reduced
+grids; the outputs are committed under ``tests/golden/<config>/``.
+``tests/test_golden.py`` compares fresh runs against them.  Run
+
+    PYTHONPATH=src python tests/golden/corpus.py
+
+from the root of a checkout to rewrite the corpus; it prints the largest
+change of each output field against the files it replaces.
+"""
+
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+from torus_billiards.cli import main
+
+HERE = Path(__file__).resolve().parent
+
+# the recurrence-check starts leave the boundary at sigma(tau, 0) at 0.01
+# rad below the tangent plane: at tau = 2 pi / 3, 60 degrees from the
+# azimuth on the circle, and at 0.3 of the inner region, 1.5 times the
+# inflection angle from the azimuth on the ellipse
+CONFIGS = {
+    "circle": {
+        "curve": {"kind": "circle", "R": 2.0, "r": 1.0},
+        "seed": 7,
+        "simulate": {"x": [2.2, 0.1, 0.3], "v": [0.3, 0.5, 0.7],
+                     "length": 12.0},
+        "classify_boundary": {"n_tau": 8, "n_theta": 6, "phi": 0.3},
+        "inflection_map": {"n_tau": 12},
+        "badset": {"x": [2.5, 0.0, 0.6], "eps": [0.2, 0.1, 0.05],
+                   "length": 3.0, "samples": 256},
+        "jacobian": {"t": 1.0, "x": [2.5, 0.0, 0.0], "v": [1.0, 0.1, 0.05],
+                     "s": -1.0},
+        "recurrence_check": {
+            "x": [1.5000000000000002, 0.0, 0.8660254037844387],
+            "v": [-0.7449625836454157, 0.49997500020833274,
+                  -0.44165116113854463],
+            "length": 3.0},
+    },
+    "ellipse": {
+        "curve": {"kind": "ellipse", "center": 3.0, "semi_x": 2.0,
+                  "semi_z": 1.0},
+        "seed": 7,
+        "simulate": {"x": [3.2, 0.1, 0.2], "v": [0.3, 0.5, 0.7],
+                     "length": 8.0},
+        "classify_boundary": {"n_tau": 6, "n_theta": 4, "phi": 0.3},
+        "inflection_map": {"n_tau": 12},
+        "badset": {"x": [3.0, 0.0, 0.9], "eps": [0.2, 0.1, 0.05],
+                   "length": 2.0, "samples": 96},
+        "jacobian": {"t": 1.0, "x": [3.5, 0.0, 0.0], "v": [1.0, 0.1, 0.05],
+                     "s": -1.0},
+        "recurrence_check": {
+            "x": [1.5886328223937787, 0.0, 0.7085271148615007],
+            "v": [-0.7295484328550812, 0.572296004140661,
+                  -0.37448146517995723],
+            "length": 1.0},
+    },
+}
+COMMANDS = ("simulate", "classify-boundary", "inflection-map", "badset",
+            "jacobian", "recurrence-check", "coords-check")
+
+
+def golden_path(config, cmd):
+    return HERE / config / f"{cmd}.txt"
+
+
+def run_case(config, cmd):
+    """(exit code, output text) of one subcommand on one config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(CONFIGS[config]))
+        out = Path(tmp) / "out.txt"
+        code = main(["--config", str(cfg), "--out", str(out), cmd])
+        return code, out.read_text() if out.exists() else ""
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _flatten(name, obj, out):
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            _flatten(f"{name}.{k}", obj[k], out)
+    elif isinstance(obj, list):
+        for item in obj:
+            _flatten(name, item, out)
+    else:
+        out.append((name, obj))
+
+
+def fields(cmd, text):
+    """(field name, value) pairs of an output, in order.  JSON records are
+    flattened under their "record" name, CSV rows under their header."""
+    out, header = [], None
+    for line in text.splitlines():
+        if line.startswith("{") or line.startswith("# {"):
+            rec = json.loads(line.lstrip("# "))
+            _flatten(f"{cmd}:{rec.get('record')}", rec, out)
+        elif header is None:
+            header = line.split(",")
+        else:
+            out += [(f"{cmd}:{h}", _number(v))
+                    for h, v in zip(header, line.split(","))]
+    return out
+
+
+def changes(cmd, old, new):
+    """{field: largest change} from old to new output text.  Finite numbers
+    give the largest absolute difference; any other value that differs,
+    and a changed layout, give inf."""
+    a, b = fields(cmd, old), fields(cmd, new)
+    if [n for n, _ in a] != [n for n, _ in b]:
+        return {f"{cmd}:layout": math.inf}
+    out = {}
+    for (name, u), (_, v) in zip(a, b):
+        if (all(isinstance(w, (int, float)) for w in (u, v))
+                and math.isfinite(u) and math.isfinite(v)):
+            d = abs(u - v)
+        else:
+            d = 0.0 if u == v else math.inf
+        out[name] = max(out.get(name, 0.0), d)
+    return out
+
+
+def rewrite():
+    """Rewrite the corpus; prints the largest change per field."""
+    for config in CONFIGS:
+        (HERE / config).mkdir(exist_ok=True)
+        for cmd in COMMANDS:
+            code, text = run_case(config, cmd)
+            if code != 0:
+                sys.exit(f"{config} {cmd}: exit {code}")
+            path = golden_path(config, cmd)
+            old = path.read_text() if path.exists() else None
+            path.write_text(text)
+            if old is None:
+                print(f"{config} {cmd}: new")
+                continue
+            moved = {k: d for k, d in changes(cmd, old, text).items() if d}
+            print(f"{config} {cmd}: "
+                  + (", ".join(f"{k} {d:.3g}" for k, d in sorted(moved.items()))
+                     or "unchanged"))
+
+
+if __name__ == "__main__":
+    rewrite()

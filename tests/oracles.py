@@ -66,3 +66,45 @@ def nearest_parameter_full_table(domain, rho, z, n_newton=8):
         fp = np.where(np.abs(fp) < 1e-12, -1.0, fp)
         tau = tau - f / fp
     return domain.profile.wrap(tau).reshape(shape)
+
+
+# central-difference step of hessian_xi
+HESSIAN_STEP = 1e-5
+
+
+def hessian_xi(domain, p):
+    """Hessian of xi at p by central differences of grad_xi, symmetrized."""
+    p = np.asarray(p, dtype=float)
+    H = np.empty(p.shape[:-1] + (3, 3))
+    for i in range(3):
+        dp = np.zeros(3)
+        dp[i] = HESSIAN_STEP
+        H[..., i, :] = ((domain.grad_xi(p + dp) - domain.grad_xi(p - dp))
+                        / (2 * HESSIAN_STEP))
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
+
+
+def tube_hessian(domain, p):
+    """Closed-form Hessian of the circle torus's xi = hypot(rho - R, z) - r:
+    (1/d) e_m e_m^T + ((rho - R)/(d rho)) e_phi e_phi^T, with d the
+    distance to the tube's centre circle, e_m the meridian direction
+    normal to the gradient and e_phi the azimuthal one."""
+    x, y, z = np.asarray(p, dtype=float)
+    rho = np.hypot(x, y)
+    d = np.hypot(rho - domain.R, z)
+    e_rho = np.array([x / rho, y / rho, 0.0])
+    e_m = (-z * e_rho + (rho - domain.R) * np.array([0.0, 0.0, 1.0])) / d
+    e_phi = np.array([-y / rho, x / rho, 0.0])
+    return (np.outer(e_m, e_m) / d
+            + (rho - domain.R) / (d * rho) * np.outer(e_phi, e_phi))
+
+
+def normal_curvature_from_indicator(domain, tau, phi, w, hessian=hessian_xi):
+    """kappa_n = (w^T Hess(xi) w) / |grad xi| at sigma(tau, phi), with the
+    Hessian from ``hessian(domain, p)`` (stands in for
+    ``grazing.normal_curvature``)."""
+    w = np.asarray(w, dtype=float)
+    w = w / np.linalg.norm(w)
+    p = domain.sigma(tau, phi)
+    return (float(w @ hessian(domain, p) @ w)
+            / float(np.linalg.norm(domain.grad_xi(p))))

@@ -109,7 +109,7 @@ def test_recurrence_residuals_short_trajectory(circle_domain, circle_engine):
 def test_recurrence_residuals_gate(circle_domain, circle_engine):
     tau0 = 2 * np.pi / 3
     x = circle_domain.sigma(tau0, 0.0)
-    n = circle_domain.unit_normal_at(x)
+    n = circle_domain.grad_xi(x)
     u = (np.cos(np.pi / 3) * circle_domain.phi_hat(0.0)
          + np.sin(np.pi / 3) * circle_domain.meridian_tangent(tau0, 0.0))
     v = np.cos(0.01) * u - np.sin(0.01) * n
@@ -476,6 +476,37 @@ def test_badset_scan_counts_capped_samples(circle_domain):
     assert row["near_grazing"] == 0
     assert row["max_bounces"] == 200
     assert row["fraction"] == 1.0
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("traced before the inputs were checked")
+
+
+@pytest.mark.parametrize("deltas,ring_kinds,tau_ref", [
+    ([0.01, -1.0], (), None),
+    ([0.01, np.nan], (), None),
+    ([0.01], ("bogus",), None),
+    ([0.01], ("angular-momentum",), None),
+    ([0.01], ("angular-momentum",), 0.0),   # outer region: no inflection
+], ids=["negative", "nan", "unknown-ring", "no-tau-ref", "outer-tau-ref"])
+def test_badset_scan_checks_rows_before_tracing(circle_engine, monkeypatch,
+                                                deltas, ring_kinds, tau_ref):
+    monkeypatch.setattr(analysis, "_trace_min_graze", _never)
+    with pytest.raises((ValueError, tb.UndefinedInflectionError)):
+        tb.badset_scan(circle_engine, [2.0, 0.0, 0.0], 0.0, deltas, 10.0,
+                       20_000, 0, ring_kinds=ring_kinds, tau_ref=tau_ref)
+
+
+@pytest.mark.parametrize("eps,specs", [
+    (-1.0, ()),
+    (0.01, (tb.RingSpec("angular-momentum", 0.01, 0.0),)),
+], ids=["negative", "outer-tau-ref"])
+def test_badset_measure_checks_row_before_tracing(circle_engine, monkeypatch,
+                                                  eps, specs):
+    monkeypatch.setattr(analysis, "_trace_min_graze", _never)
+    with pytest.raises((ValueError, tb.UndefinedInflectionError)):
+        tb.badset_measure(circle_engine, [2.0, 0.0, 0.0], 0.0, eps, 10.0,
+                          20_000, 0, ring_specs=specs)
 
 
 def test_badset_scan_rejects_speed_band(circle_engine):

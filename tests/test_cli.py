@@ -363,14 +363,17 @@ def test_seed_env_override(tmp_path, monkeypatch):
     ["--eps", "-1"],           # was accepted
     ["--samples", "0"],        # was a traceback
     ["--length", "nan"],       # was an endless march
-], ids=["outside", "nan-x", "negative-eps", "zero-samples", "nan-length"])
+    ["--eps", "0.01,-1"],      # was rejected only after tracing
+], ids=["outside", "nan-x", "negative-eps", "zero-samples", "nan-length",
+        "negative-second-eps"])
 def test_badset_invalid_input_exit_code(tmp_path, monkeypatch, capsys, flags):
-    def never(*args):
-        raise AssertionError("traced a run of invalid length")
+    def never(*args, **kwargs):
+        raise AssertionError("traced a sample of an invalid input")
 
-    if "--length" in flags:
-        # the length is checked before any sample is traced, so a NaN
-        # length cannot start the march that never ends
+    if "--length" in flags or "--eps" in flags:
+        # the length and the thresholds are checked before any sample is
+        # traced, so a NaN length cannot start the march that never ends
+        # and a bad threshold costs no tracing
         monkeypatch.setattr(analysis, "_trace_min_graze", never)
     argv = ["badset", "--x", "2,0,0", "--eps", "0.05", "--length", "4",
             "--samples", "64"] + flags
@@ -392,14 +395,14 @@ def test_badset_base_point_boundary_band(tmp_path, capsys, circle_domain):
     code, text = run(tmp_path, {}, argv)
     assert code == 0
     assert len(text.splitlines()) == 3
-    # xi = 5e-10: the rays that leave it at once bounce in place
+    # xi = 2.5e-10: the rays that leave it at once bounce in place
     code, text = run(tmp_path, {}, argv[:-1] + ["3.00000000025,0,0"],
                      name="band.txt")
     assert code == 0
     assert len(text.splitlines()) == 3
-    assert float(circle_domain.xi([3.000000001, 0.0, 0.0])) == pytest.approx(
+    assert float(circle_domain.xi([3.000000002, 0.0, 0.0])) == pytest.approx(
         2e-9, rel=1e-6)
-    code, text = run(tmp_path, {}, argv[:-1] + ["3.000000001,0,0"],
+    code, text = run(tmp_path, {}, argv[:-1] + ["3.000000002,0,0"],
                      name="outside.txt")
     assert code == 1
     assert text == ""

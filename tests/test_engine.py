@@ -240,6 +240,14 @@ def test_arrival_time_chords(circle_engine):
         pytest.approx(6 * SQRT3, abs=1e-9)
 
 
+@pytest.mark.parametrize("phi", [-0.05, -0.2, -0.4])
+def test_arrival_time_crossing_is_exact(circle_engine, phi):
+    """A free chord from azimuth phi along the rotated y axis meets the
+    plane y = 0 after 2 tan(-phi), to the last bits."""
+    t = circle_engine.arrival_time_S0([2.0, 0.0, 0.0], phi, [0.0, 1.0, 0.0])
+    assert abs(t - 2.0 * np.tan(-phi)) <= 2 * np.spacing(t)
+
+
 def test_arrival_time_mirrors_negative_momentum(circle_engine):
     x = np.array([3.0, 0.0, 0.0])
     v = np.array([-SQRT3 / 2, -0.5, 0.0])   # L_z < 0: azimuth decreases,

@@ -1,0 +1,47 @@
+"""Fresh command-line outputs against the golden corpus in tests/golden/.
+
+The circle config must reproduce its files byte for byte.  The ellipse
+config is compared field by field: each numeric field may move by at most
+its bound below (0 where none is given), every other field not at all.
+A change made on purpose is recorded by rewriting the corpus with
+``tests/golden/corpus.py``, whose report of the largest change per field
+goes with the change.
+"""
+
+import pytest
+
+from golden.corpus import COMMANDS, changes, golden_path, run_case
+
+ELLIPSE_BOUNDS = {
+    **dict.fromkeys(["simulate:bounce." + k for k in (
+        "x", "t", "tau", "phi_unwrapped", "v_out", "normal_dot")], 1e-9),
+    "simulate:header.total_length": 1e-9,
+    "simulate:header.winding": 1e-9,
+    "simulate:header.diagnostics.omega_drift": 1e-12,
+    "simulate:header.diagnostics.speed_drift": 1e-12,
+    "classify-boundary:kappa_n": 1e-12,
+    **dict.fromkeys(["inflection-map:" + k for k in (
+        "tau", "theta", "omega_I")], 1e-10),
+    "jacobian:jacobian.det": 1e-6,
+    "jacobian:jacobian.rel_spread": 1e-9,
+    "recurrence-check:d_tau": 1e-9,
+    "recurrence-check:d_phi": 1e-9,
+    "recurrence-check:r1": 1e-6,
+    "recurrence-check:r2": 1e-6,
+}
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_circle_outputs_are_golden(cmd):
+    code, text = run_case("circle", cmd)
+    assert code == 0
+    assert text == golden_path("circle", cmd).read_text()
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_ellipse_outputs_within_field_bounds(cmd):
+    code, text = run_case("ellipse", cmd)
+    assert code == 0
+    moved = changes(cmd, golden_path("ellipse", cmd).read_text(), text)
+    over = {k: d for k, d in moved.items() if d > ELLIPSE_BOUNDS.get(k, 0.0)}
+    assert not over, f"fields beyond their bounds: {over}"

@@ -4,6 +4,8 @@ import pytest
 import torus_billiards as tb
 from torus_billiards.grazing import GrazingClass, _sign_ladder, local_curvature_radius
 
+from oracles import normal_curvature_from_indicator, tube_hessian
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -39,8 +41,23 @@ def test_normal_curvature_indicator_oracle(circle_domain):
         w = (np.cos(theta) * circle_domain.phi_hat(0.0)
              + np.sin(theta) * circle_domain.meridian_tangent(tau, 0.0))
         a = tb.normal_curvature(circle_domain, tau, 0.0, w)
-        b = tb.normal_curvature_from_indicator(circle_domain, tau, 0.0, w)
+        b = normal_curvature_from_indicator(circle_domain, tau, 0.0, w,
+                                            tube_hessian)
         assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_normal_curvature_fd_indicator_oracle(ellipse_domain):
+    """Euler's formula against central differences of the generic
+    indicator's unit gradient on the ellipse."""
+    dom = ellipse_domain
+    m = dom.markers
+    for rel, theta in ((0.3, 0.0), (0.5, np.pi / 2), (1.4, 0.7)):
+        tau = float(dom.profile.wrap(m.tau1_star + rel * m.inner_span))
+        w = (np.cos(theta) * dom.phi_hat(0.4)
+             + np.sin(theta) * dom.meridian_tangent(tau, 0.4))
+        a = tb.normal_curvature(dom, tau, 0.4, w)
+        b = normal_curvature_from_indicator(dom, tau, 0.4, w)
+        assert a == pytest.approx(b, abs=1e-6)
 
 
 def test_classify_convex_concave(circle_domain):

@@ -17,9 +17,9 @@ import torus_billiards as tb
 from torus_billiards.cli import BLOCK_KEYS, HANDLERS, main
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
-# away from these sets the closed forms keep their digits: the distance to
-# the tube's centre line loses them in sqrt(xi_quadric + r^2), the gradient
-# direction in 1 / distance, and the azimuthal components in 1 / rho
+# away from these sets the closed forms keep their digits: the gradient
+# direction loses them in 1 / distance to the tube's centre line, and the
+# azimuthal components in 1 / rho
 MARGIN = 1e-3
 
 
@@ -32,13 +32,18 @@ def points(xy, z):
 @given(p=points(3.5, 1.5))
 def test_generic_circle_xi_is_quadric_distance(circle_domain,
                                                generic_circle_domain, p):
+    """The closed-form circle torus and the generic indicator on the same
+    generator agree on xi, its unit gradient and the march rule."""
     rho = np.hypot(p[0], p[1])
     assume(np.hypot(rho - 2.0, p[2]) > MARGIN and rho > MARGIN)
-    want = np.sqrt(circle_domain.xi(p) + 1.0) - 1.0
-    assert abs(float(generic_circle_domain.xi(p)) - want) <= 1e-12
+    assert abs(float(generic_circle_domain.xi(p))
+               - float(circle_domain.xi(p))) <= 1e-12
     g = circle_domain.grad_xi(p)
-    assert np.abs(generic_circle_domain.grad_xi(p)
-                  - g / np.linalg.norm(g)).max() <= 1e-12
+    assert np.abs(generic_circle_domain.grad_xi(p) - g).max() <= 1e-12
+    assert abs(np.linalg.norm(g) - 1.0) <= 1e-12
+    for name in ("blip_tol", "march_step", "diameter"):
+        a = getattr(circle_domain, name)
+        assert abs(getattr(generic_circle_domain, name) - a) <= np.spacing(a)
 
 
 @PROPERTY
