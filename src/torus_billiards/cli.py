@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -83,6 +84,18 @@ def _merge(base, override):
     return out
 
 
+def _invalid(key, val):
+    """What the value of a config block key must be, if val is not; else
+    None.  Names and flags are checked where they are read."""
+    if key in ("kind", "direction", "inner_only"):
+        return None
+    if key in ("n_tau", "n_theta", "samples", "max_bounces"):
+        return None if type(val) is int and val >= 1 else "an integer >= 1"
+    ok = all(type(w) in (int, float) and math.isfinite(w)
+             for w in (val if type(val) is list else [val]))
+    return None if ok else "a finite number or a list of them"
+
+
 def load_config(path):
     cfg = DEFAULT_CONFIG
     if path:
@@ -105,8 +118,14 @@ def load_config(path):
                     f"unknown keys in config block {name}: {sorted(unknown)}")
         cfg = _merge(cfg, user)
     for name, val in cfg["tolerances"].items():
-        if type(val) not in (int, float) or not val > 0:
-            raise ConfigError(f"tolerance {name} must be a positive number")
+        top = 1 if name == "graze_threshold" else math.inf
+        if type(val) not in (int, float) or not 0 < val < top:
+            raise ConfigError(f"tolerance {name} must be a number in (0, {top})")
+    for name in BLOCK_KEYS:
+        for key, val in cfg.get(name, {}).items():
+            want = _invalid(key, val)
+            if want:
+                raise ValueError(f"{name}.{key} must be {want}, got {val!r}")
     seed = cfg["seed"]
     if type(seed) is not int or not 0 <= seed < 2 ** 64:
         raise ConfigError("seed must be a 64-bit unsigned integer")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +129,14 @@ class BilliardEngine:
     def __init__(self, domain: ToroidalDomain,
                  graze_threshold=DEFAULT_GRAZE_THRESHOLD,
                  max_bounces=DEFAULT_MAX_BOUNCES):
+        if not 0.0 < graze_threshold < 1.0:
+            raise ValueError(
+                f"graze_threshold must lie in (0, 1), got {graze_threshold!r}")
+        if (isinstance(max_bounces, bool)
+                or not isinstance(max_bounces, numbers.Integral)
+                or max_bounces < 1):
+            raise ValueError(
+                f"max_bounces must be an integer >= 1, got {max_bounces!r}")
         self.domain = domain
         self.graze_threshold = float(graze_threshold)
         self.max_bounces = int(max_bounces)

@@ -1,9 +1,9 @@
 """Classification of tangential boundary phases.
 
-A grazing phase (x, v) has n(x).v = 0.  Depending on the local shape of the
-boundary section in the tangent plane the ray either exits on both sides
-(convex grazing), stays inside on both sides (concave grazing), or crosses
-the surface (inflection grazing, split by orientation).  The inflection
+A grazing phase (x, v) has n(x).v = 0.  The Taylor model of the boundary's
+normal section along v says whether the ray exits on both sides (convex
+grazing), stays inside on both sides (concave grazing), or crosses the
+surface (inflection grazing, split by orientation).  The inflection
 directions at an inner-region point make an angle theta with the azimuthal
 tangent where tan(theta) = sqrt(|gamma2'| / (kappa * gamma1)).
 """
@@ -11,6 +11,7 @@ tangent where tan(theta) = sqrt(|gamma2'| / (kappa * gamma1)).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,13 @@ def principal_curvatures(domain: ToroidalDomain, tau):
     return d1[..., 1] / prof.gamma1(tau), prof.curvature(tau)
 
 
-def local_curvature_radius(domain: ToroidalDomain, tau):
-    k1, k2 = principal_curvatures(domain, tau)
-    return 1.0 / max(abs(float(k1)), abs(float(k2)), 1e-12)
+def _euler_taylor(k1, k2, cos2, sin_t, dk1, dk2):
+    """(kappa_n, c3) of the normal section xi(x + s u) = kappa_n s^2/2
+    + c3 s^3/6 + O(s^4), u at angle theta from the azimuthal tangent toward
+    the meridian one (cos2 = cos^2 theta, sin_t = sin theta), from Euler's
+    formula and the tau-derivatives dk1, dk2 of the principal curvatures."""
+    return (k1 * cos2 + k2 * (1.0 - cos2),
+            sin_t * (3.0 * cos2 * dk1 + sin_t * sin_t * dk2))
 
 
 def normal_curvature(domain: ToroidalDomain, tau, phi, w):
@@ -60,8 +65,8 @@ def normal_curvature(domain: ToroidalDomain, tau, phi, w):
         raise ValueError(f"direction is not tangent: n.w = {float(np.dot(n, w)):.3e}")
     k1, k2 = principal_curvatures(domain, tau)
     cos_t = float(np.dot(w, domain.phi_hat(phi)))
-    cos2 = min(cos_t * cos_t, 1.0)
-    return float(k1) * cos2 + float(k2) * (1.0 - cos2)
+    return _euler_taylor(float(k1), float(k2), min(cos_t * cos_t, 1.0),
+                         0.0, 0.0, 0.0)[0]
 
 
 @dataclass
@@ -99,46 +104,46 @@ def _formal_pair(domain: ToroidalDomain, tau, phi, positive_momentum=True):
     return theta, c_plus, c_minus
 
 
-def _sign_ladder(domain: ToroidalDomain, x, u, tau):
-    """Stable signs of xi(x + s u) and xi(x - s u) over a geometric ladder."""
-    s0 = LADDER_BASE_FRACTION * local_curvature_radius(domain, tau)
-    rungs = s0 / np.array([1.0, 2.0, 4.0])
-    vals = domain.xi(x + np.concatenate([rungs, -rungs])[:, None] * u)
-    pattern = None
-    for s, f, b in zip(rungs, vals[:3], vals[3:]):
-        if f == 0.0 or b == 0.0:
-            raise GrazingAmbiguousError(
-                f"indicator vanished exactly on the ladder at s = {s:.3e}")
-        cur = (bool(f > 0.0), bool(b > 0.0))
-        if pattern is None:
-            pattern = cur
-        elif cur != pattern:
-            raise GrazingAmbiguousError(
-                f"sign pattern unstable across ladder rungs near s = {s:.3e}")
-    return pattern
-
-
 def classify(domain: ToroidalDomain, x, v,
              graze_threshold=DEFAULT_GRAZE_THRESHOLD) -> GrazingClass:
-    """Classify a tangential boundary phase by indicator sign sampling."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """Classify a tangential boundary phase by the signs of the normal
+    section's Taylor model at +-s0, s0 = LADDER_BASE_FRACTION / kappa_max,
+    or, on a flat phase where both model terms at s0 lie below the quartic
+    scale kappa_max^3 s0^4 = LADDER_BASE_FRACTION^3 s0, of xi at x +- s0 u."""
     sp = domain.boundary_params(x, tol=1e-6)
-    n = domain.outward_normal(sp.tau, sp.phi)
-    vhat = v / np.linalg.norm(v)
-    nd = float(np.dot(n, vhat))
+    prof = domain.profile
+    t1, t2 = prof.deriv1(sp.tau).tolist()
+    a1, a2 = prof.deriv2(sp.tau).tolist()
+    g1 = float(prof.gamma1(sp.tau))
+    c, s = math.cos(sp.phi), math.sin(sp.phi)
+    vx, vy, vz = np.asarray(v, dtype=float).tolist()
+    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if not 0.0 < speed < math.inf:
+        raise ValueError(f"velocity must be finite and nonzero, got {v!r}")
+    vr = c * vx + s * vy
+    nd = (t2 * vr - t1 * vz) / speed
     if abs(nd) >= graze_threshold:
         return GrazingClass.NON_GRAZING
-    u = vhat - nd * n
-    u = u / np.linalg.norm(u)
-    fwd_out, bwd_out = _sign_ladder(domain, x, u, sp.tau)
-    if fwd_out and bwd_out:
-        return GrazingClass.CONVEX
-    if not fwd_out and not bwd_out:
-        return GrazingClass.CONCAVE
-    if fwd_out:
-        return GrazingClass.INFLECTION_PLUS
-    return GrazingClass.INFLECTION_MINUS
+    # v's components along the azimuthal and the meridian unit tangents
+    va, vm = c * vy - s * vx, t1 * vr + t2 * vz
+    cos_t, sin_t = va / math.hypot(va, vm), vm / math.hypot(va, vm)
+    k1, k2 = t2 / g1, math.hypot(a1, a2)
+    kn, c3 = _euler_taylor(k1, k2, cos_t * cos_t, sin_t, (a2 - k1 * t1) / g1,
+                           float(prof.curvature_prime(sp.tau)))
+    s0 = LADDER_BASE_FRACTION / max(abs(k1), k2)
+    fwd, bwd = kn * s0 * s0 / 2.0, c3 * s0 ** 3 / 6.0
+    if max(abs(fwd), abs(bwd)) >= LADDER_BASE_FRACTION ** 3 * s0:
+        fwd, bwd = fwd + bwd, fwd - bwd
+    else:
+        u = np.array([sin_t * t1 * c - cos_t * s, sin_t * t1 * s + cos_t * c,
+                      sin_t * t2])
+        fwd, bwd = domain.xi(x + np.array([[s0], [-s0]]) * u).tolist()
+        if fwd == 0.0 or bwd == 0.0:
+            raise GrazingAmbiguousError(
+                f"xi vanished exactly at s = +-{s0:.3e} on a flat phase")
+    if fwd > 0.0:
+        return GrazingClass.CONVEX if bwd > 0.0 else GrazingClass.INFLECTION_PLUS
+    return GrazingClass.INFLECTION_MINUS if bwd > 0.0 else GrazingClass.CONCAVE
 
 
 def inflection_directions(domain: ToroidalDomain, tau, phi,

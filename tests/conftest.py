@@ -27,6 +27,17 @@ def ellipse_domain():
                                                   semi_z=1.0))
 
 
+@pytest.fixture(scope="session")
+def tilted_ellipse_domain():
+    """An ellipse without mirror symmetry: semi-axes 1.5 and 0.8 about
+    (3, 0), tilted 0.3 rad, 256 samples from t = 0.37."""
+    t = 0.37 + np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    c, s = np.cos(0.3), np.sin(0.3)
+    x, z = 1.5 * np.cos(t), 0.8 * np.sin(t)
+    return tb.ToroidalDomain(tb.curve_from_samples(
+        np.stack([3.0 + c * x - s * z, s * x + c * z], axis=-1)))
+
+
 def random_interior_states(rng, n, center=(2.0, 0.0, 0.0), radius=0.5):
     """(x, v) samples with x in the tube around the circle-torus center line."""
     out = []

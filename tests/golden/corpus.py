@@ -6,14 +6,16 @@ grids; the outputs are committed under ``tests/golden/<config>/``.
 
     PYTHONPATH=src python tests/golden/corpus.py
 
-from the root of a checkout to rewrite the corpus; it prints the largest
-change of each output field against the files it replaces.
+from the root of a checkout to rewrite the corpus; against the files it
+replaces it prints the largest change of each numeric output field, and the
+changed rows of every other field with their transitions.
 """
 
 import json
 import math
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from torus_billiards.cli import main
@@ -113,6 +115,11 @@ def fields(cmd, text):
     return out
 
 
+def _numeric(u, v):
+    return (all(isinstance(w, (int, float)) for w in (u, v))
+            and math.isfinite(u) and math.isfinite(v))
+
+
 def changes(cmd, old, new):
     """{field: largest change} from old to new output text.  Finite numbers
     give the largest absolute difference; any other value that differs,
@@ -122,13 +129,28 @@ def changes(cmd, old, new):
         return {f"{cmd}:layout": math.inf}
     out = {}
     for (name, u), (_, v) in zip(a, b):
-        if (all(isinstance(w, (int, float)) for w in (u, v))
-                and math.isfinite(u) and math.isfinite(v)):
+        if _numeric(u, v):
             d = abs(u - v)
         else:
             d = 0.0 if u == v else math.inf
         out[name] = max(out.get(name, 0.0), d)
     return out
+
+
+def report(cmd, old, new):
+    """One line per changed field: the largest change of a numeric field,
+    or the number of changed rows of any other field and of each
+    transition, as in "classify-boundary:class 2 rows: convex→concave 2"."""
+    moved = {k: d for k, d in changes(cmd, old, new).items() if d}
+    turns = {}
+    if f"{cmd}:layout" not in moved:
+        for (name, u), (_, v) in zip(fields(cmd, old), fields(cmd, new)):
+            if u != v and not _numeric(u, v):
+                turns.setdefault(name, Counter())[f"{u}→{v}"] += 1
+    return [f"{k} {d:.3g}" if k not in turns else
+            f"{k} {sum(turns[k].values())} rows: "
+            + ", ".join(f"{t} {n}" for t, n in sorted(turns[k].items()))
+            for k, d in sorted(moved.items())]
 
 
 def rewrite():
@@ -145,10 +167,8 @@ def rewrite():
             if old is None:
                 print(f"{config} {cmd}: new")
                 continue
-            moved = {k: d for k, d in changes(cmd, old, text).items() if d}
             print(f"{config} {cmd}: "
-                  + (", ".join(f"{k} {d:.3g}" for k, d in sorted(moved.items()))
-                     or "unchanged"))
+                  + ("; ".join(report(cmd, old, text)) or "unchanged"))
 
 
 if __name__ == "__main__":

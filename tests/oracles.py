@@ -8,6 +8,11 @@ with ``monkeypatch.setattr``.
 import numpy as np
 from scipy.optimize import brentq
 
+from torus_billiards.errors import GrazingAmbiguousError
+from torus_billiards.grazing import (DEFAULT_GRAZE_THRESHOLD,
+                                     LADDER_BASE_FRACTION, GrazingClass,
+                                     principal_curvatures)
+
 
 def bisect_exits(domain, base, w, lo, hi, n_bisect=60):
     """Exit roots along the rays base + s w by a fixed-count bisection of
@@ -108,3 +113,49 @@ def normal_curvature_from_indicator(domain, tau, phi, w, hessian=hessian_xi):
     p = domain.sigma(tau, phi)
     return (float(w @ hessian(domain, p) @ w)
             / float(np.linalg.norm(domain.grad_xi(p))))
+
+
+def local_curvature_radius(domain, tau):
+    """1 / the larger principal curvature magnitude at tau."""
+    k1, k2 = principal_curvatures(domain, tau)
+    return 1.0 / max(abs(float(k1)), abs(float(k2)), 1e-12)
+
+
+def _sign_ladder(domain, x, u, tau):
+    """Stable signs of xi(x + s u) and xi(x - s u) over a geometric ladder
+    s = s0, s0/2, s0/4 with s0 = LADDER_BASE_FRACTION times the local
+    curvature radius; GrazingAmbiguousError where they change."""
+    s0 = LADDER_BASE_FRACTION * local_curvature_radius(domain, tau)
+    rungs = s0 / np.array([1.0, 2.0, 4.0])
+    vals = domain.xi(x + np.concatenate([rungs, -rungs])[:, None] * u)
+    pattern = None
+    for s, f, b in zip(rungs, vals[:3], vals[3:]):
+        if f == 0.0 or b == 0.0:
+            raise GrazingAmbiguousError(
+                f"indicator vanished exactly on the ladder at s = {s:.3e}")
+        cur = (bool(f > 0.0), bool(b > 0.0))
+        if pattern is None:
+            pattern = cur
+        elif cur != pattern:
+            raise GrazingAmbiguousError(
+                f"sign pattern unstable across ladder rungs near s = {s:.3e}")
+    return pattern
+
+
+def classify_by_ladder(domain, x, v, graze_threshold=DEFAULT_GRAZE_THRESHOLD):
+    """Grazing class from the signs of xi on the sign ladder along the
+    tangential part u of v (stands in for ``grazing.classify``)."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    sp = domain.boundary_params(x, tol=1e-6)
+    n = domain.outward_normal(sp.tau, sp.phi)
+    vhat = v / np.linalg.norm(v)
+    nd = float(np.dot(n, vhat))
+    if abs(nd) >= graze_threshold:
+        return GrazingClass.NON_GRAZING
+    u = vhat - nd * n
+    fwd_out, bwd_out = _sign_ladder(domain, x, u / np.linalg.norm(u), sp.tau)
+    return {(True, True): GrazingClass.CONVEX,
+            (False, False): GrazingClass.CONCAVE,
+            (True, False): GrazingClass.INFLECTION_PLUS,
+            (False, True): GrazingClass.INFLECTION_MINUS}[fwd_out, bwd_out]

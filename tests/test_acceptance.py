@@ -43,26 +43,30 @@ def test_01_conservation_64x200(circle_engine):
     assert elapsed < 5.0, f"64 x 200 bounces took {elapsed:.2f} s"
 
 
-def test_02_reflection_algebra(circle_domain, circle_engine):
+def test_02_reflection_algebra(circle_domain, generic_circle_domain,
+                               ellipse_domain):
     rng = np.random.default_rng(2)
-    taus = rng.uniform(0, TWO_PI, 10_000)
-    phis = rng.uniform(0, TWO_PI, 10_000)
-    vs = rng.standard_normal((10_000, 3))
-    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-    worst_inv = worst_norm = worst_tan = 0.0
-    for tau, phi, v in zip(taus, phis, vs):
-        x = circle_domain.sigma(tau, phi)
-        n = circle_domain.grad_xi(x)
-        rv = circle_engine.reflect(x, v)
-        rrv = circle_engine.reflect(x, rv)
-        worst_inv = max(worst_inv, float(np.abs(rrv - v).max()))
-        worst_norm = max(worst_norm, abs(float(n @ rv) + float(n @ v)))
-        t_in = v - float(n @ v) * n
-        t_out = rv - float(n @ rv) * n
-        worst_tan = max(worst_tan, float(np.abs(t_out - t_in).max()))
-    assert worst_inv < 1e-14
-    assert worst_norm < 1e-14
-    assert worst_tan < 1e-14
+    for domain, count in ((circle_domain, 10_000),
+                          (generic_circle_domain, 500), (ellipse_domain, 200)):
+        engine = tb.BilliardEngine(domain)
+        taus = rng.uniform(*domain.profile.period, count)
+        phis = rng.uniform(0, TWO_PI, count)
+        vs = rng.standard_normal((count, 3))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        worst_inv = worst_norm = worst_tan = 0.0
+        for tau, phi, v in zip(taus, phis, vs):
+            x = domain.sigma(tau, phi)
+            n = domain.grad_xi(x)
+            rv = engine.reflect(x, v)
+            rrv = engine.reflect(x, rv)
+            worst_inv = max(worst_inv, float(np.abs(rrv - v).max()))
+            worst_norm = max(worst_norm, abs(float(n @ rv) + float(n @ v)))
+            t_in = v - float(n @ v) * n
+            t_out = rv - float(n @ rv) * n
+            worst_tan = max(worst_tan, float(np.abs(t_out - t_in).max()))
+        assert worst_inv < 1e-14
+        assert worst_norm < 1e-14
+        assert worst_tan < 1e-14
 
 
 def test_03_reversibility_1000_states(circle_engine):
@@ -95,21 +99,25 @@ def test_04_golden_orbit(circle_engine):
     assert np.allclose(traj.end_state.v, st.v, atol=1e-9)
 
 
-def test_05_rotational_equivariance(circle_engine):
+def test_05_rotational_equivariance(circle_engine, generic_circle_domain,
+                                    ellipse_domain):
     rng = np.random.default_rng(4)
-    pairs = random_interior_states(rng, 100)
-    dphis = rng.uniform(-TWO_PI, TWO_PI, 100)
-    for (x, v), dphi in zip(pairs, dphis):
-        R = tb.rotation_z(dphi)
-        a = circle_engine.forward_cycles(tb.PhaseState(x, v, 0.0), 8.0)
-        b = circle_engine.forward_cycles(tb.PhaseState(R @ x, R @ v, 0.0), 8.0)
-        assert len(a.events) == len(b.events)
-        for ea, eb in zip(a.events, b.events):
-            assert abs(ea.t - eb.t) < 1e-9
-            assert np.abs(R @ ea.x - eb.x).max() < 1e-9
-            assert np.abs(R @ ea.v_out - eb.v_out).max() < 1e-9
-        assert np.abs(R @ a.end_state.x - b.end_state.x).max() < 1e-9
-        assert np.abs(R @ a.end_state.v - b.end_state.v).max() < 1e-9
+    for engine, count in ((circle_engine, 100),
+                          (tb.BilliardEngine(generic_circle_domain), 6),
+                          (tb.BilliardEngine(ellipse_domain), 4)):
+        pairs = random_interior_states(rng, count)
+        dphis = rng.uniform(-TWO_PI, TWO_PI, count)
+        for (x, v), dphi in zip(pairs, dphis):
+            R = tb.rotation_z(dphi)
+            a = engine.forward_cycles(tb.PhaseState(x, v, 0.0), 8.0)
+            b = engine.forward_cycles(tb.PhaseState(R @ x, R @ v, 0.0), 8.0)
+            assert len(a.events) == len(b.events)
+            for ea, eb in zip(a.events, b.events):
+                assert abs(ea.t - eb.t) < 1e-9
+                assert np.abs(R @ ea.x - eb.x).max() < 1e-9
+                assert np.abs(R @ ea.v_out - eb.v_out).max() < 1e-9
+            assert np.abs(R @ a.end_state.x - b.end_state.x).max() < 1e-9
+            assert np.abs(R @ a.end_state.v - b.end_state.v).max() < 1e-9
 
 
 def test_06_inflection_angle_and_sign_ladder(circle_domain):

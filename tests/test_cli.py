@@ -57,8 +57,9 @@ def test_load_config_rejects_bad_seed(tmp_path):
         load_config(path)
 
 
-def test_load_config_rejects_bad_tolerance(tmp_path):
-    path = write_config(tmp_path, {"tolerances": {"graze_threshold": 0.0}})
+@pytest.mark.parametrize("value", [0.0, 2])
+def test_load_config_rejects_bad_tolerance(tmp_path, value):
+    path = write_config(tmp_path, {"tolerances": {"graze_threshold": value}})
     with pytest.raises(ConfigError):
         load_config(path)
 
@@ -144,6 +145,9 @@ def test_simulate_bad_direction(tmp_path):
     assert code == 1
 
 
+BADSET_ARGV = ["badset", "--x", "2,0,0", "--samples", "8", "--length", "1"]
+
+
 @pytest.mark.parametrize("cfg,argv", [
     ({"tolerances": {"graze_threshold": "abc"}}, ["inflection-map"]),
     ({"curve": {"kind": "circle", "R": "2"}}, ["inflection-map"]),
@@ -151,10 +155,26 @@ def test_simulate_bad_direction(tmp_path):
     ({"caps": {"max_bounces": [1]},
       "simulate": {"x": [2.0, 0.0, 0.0], "v": [1.0, 0.0, 0.0]}}, ["simulate"]),
     ({"seed": True}, ["inflection-map"]),
+    ({"curve": {"kind": "ellipse", "semi_x": "2"}}, ["inflection-map"]),
+    ({"curve": {"kind": "circle", "R": True}}, ["inflection-map"]),
+    ({"curve": {"kind": "circle", "R": float("inf")}}, ["inflection-map"]),
+    ({"caps": {"max_bounces": 0}}, BADSET_ARGV),
+    ({"caps": {"max_bounces": True}}, BADSET_ARGV),
+    ({"caps": {"max_bounces": -1},
+      "simulate": {"x": [2.0, 0.0, 0.0], "v": [1.0, 0.0, 0.0]}}, ["simulate"]),
+    ({"tolerances": {"graze_threshold": 2}}, BADSET_ARGV),
+    ({"classify_boundary": {"n_tau": 2.7}}, ["classify-boundary"]),
+    ({"simulate": {"x": ["2", 0.0, 0.0], "v": [1.0, 0.0, 0.0]}},
+     ["simulate"]),
+    ({"badset": {"eps": [0.1, "0.2"]}}, BADSET_ARGV),
 ], ids=["string-tolerance", "string-radius", "null-count", "list-cap",
-        "boolean-seed"])
+        "boolean-seed", "string-semi-axis", "boolean-radius",
+        "infinite-radius", "zero-cap", "boolean-cap", "negative-cap",
+        "threshold-above-one", "fractional-count", "string-coordinate",
+        "string-eps"])
 def test_wrong_json_type_exit_code(tmp_path, capsys, cfg, argv):
-    # each of these ended in a traceback, or (the seed) was accepted
+    # each of these ended in a traceback, was accepted, or (a radius of
+    # true) exited 2 as a numeric failure
     code, text = run(tmp_path, cfg, argv)
     assert code == 1
     assert text == ""

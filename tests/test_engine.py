@@ -182,6 +182,15 @@ def test_phase_state_validation():
         tb.PhaseState([2.0, 0.0, 0.0], [1.0, 0.0, 0.0], np.nan)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_bounces": 0}, {"max_bounces": -1}, {"max_bounces": True},
+    {"max_bounces": 2.5}, {"graze_threshold": 0.0},
+    {"graze_threshold": 2.0}])
+def test_engine_rejects_bad_cap_and_threshold(circle_domain, kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        tb.BilliardEngine(circle_domain, **kwargs)
+
+
 @pytest.mark.parametrize("length", [np.nan, np.inf, -3.0])
 def test_cycles_reject_invalid_length(circle_engine, length):
     state = tb.PhaseState([2.0, 0.0, 0.0], [1.0, 0.0, 0.0])

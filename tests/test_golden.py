@@ -4,13 +4,14 @@ The circle config must reproduce its files byte for byte.  The ellipse
 config is compared field by field: each numeric field may move by at most
 its bound below (0 where none is given), every other field not at all.
 A change made on purpose is recorded by rewriting the corpus with
-``tests/golden/corpus.py``, whose report of the largest change per field
-goes with the change.
+``tests/golden/corpus.py``, whose report of each changed field (the
+largest change of a number, the changed rows and transitions of any other
+value) goes with the change.
 """
 
 import pytest
 
-from golden.corpus import COMMANDS, changes, golden_path, run_case
+from golden.corpus import COMMANDS, changes, golden_path, report, run_case
 
 ELLIPSE_BOUNDS = {
     **dict.fromkeys(["simulate:bounce." + k for k in (
@@ -45,3 +46,19 @@ def test_ellipse_outputs_within_field_bounds(cmd):
     moved = changes(cmd, golden_path("ellipse", cmd).read_text(), text)
     over = {k: d for k, d in moved.items() if d > ELLIPSE_BOUNDS.get(k, 0.0)}
     assert not over, f"fields beyond their bounds: {over}"
+
+
+def test_report_counts_changed_rows_of_text_fields():
+    head = "tau,theta_dir,class,kappa_n\n"
+    old = head + "0.0,0.0,ambiguous,0.5\n0.0,1.0,convex,0.25\n" \
+        "0.1,0.0,ambiguous,0.5\n0.1,1.0,ambiguous,0.5\n"
+    new = head + "0.0,0.0,inflection+,0.5\n0.0,1.0,convex,0.2505\n" \
+        "0.1,0.0,inflection-,0.5\n0.1,1.0,inflection+,0.5\n"
+    cmd = "classify-boundary"
+    assert report(cmd, old, new) == [
+        "classify-boundary:class 3 rows: ambiguous→inflection+ 2, "
+        "ambiguous→inflection- 1",
+        "classify-boundary:kappa_n 0.0005"]
+    assert changes(cmd, old, new)["classify-boundary:class"] == float("inf")
+    assert report(cmd, old, old) == []
+    assert report(cmd, old, head) == ["classify-boundary:layout inf"]

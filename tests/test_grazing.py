@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import torus_billiards as tb
-from torus_billiards.grazing import GrazingClass, _sign_ladder, local_curvature_radius
+from torus_billiards.curves import h_value
+from torus_billiards.grazing import GrazingClass, _euler_taylor
 
-from oracles import normal_curvature_from_indicator, tube_hessian
+from oracles import (_sign_ladder, classify_by_ladder, local_curvature_radius,
+                     normal_curvature_from_indicator, tube_hessian)
 
 TWO_PI = 2.0 * np.pi
 
@@ -67,6 +69,8 @@ def test_classify_convex_concave(circle_domain):
         is GrazingClass.CONCAVE
     assert tb.classify(circle_domain, [3.0, 0.0, 0.0], [1.0, 0.0, 0.0]) \
         is GrazingClass.NON_GRAZING
+    with pytest.raises(ValueError, match="velocity"):
+        tb.classify(circle_domain, [3.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 def test_inflection_directions_circle(circle_domain):
@@ -131,13 +135,16 @@ def test_inflection_momentum_value(circle_domain):
     assert omega == pytest.approx(1.2990381056766582, abs=1e-12)
 
 
-def test_classify_phi_equivariance(circle_domain):
-    tau = 2 * np.pi / 3
-    for phi in (0.0, 1.0, 4.0):
-        d = tb.inflection_directions(circle_domain, tau, phi)
-        x = circle_domain.sigma(tau, phi)
-        assert tb.classify(circle_domain, x, d.I1) \
-            is GrazingClass.INFLECTION_PLUS
+def test_classify_phi_equivariance(circle_domain, ellipse_domain,
+                                   tilted_ellipse_domain):
+    for dom in (circle_domain, ellipse_domain, tilted_ellipse_domain):
+        m = dom.markers
+        tau = float(dom.profile.wrap(m.tau1_star + 0.3 * m.inner_span))
+        for phi in (0.0, 1.0, 4.0):
+            d = tb.inflection_directions(dom, tau, phi)
+            x = dom.sigma(tau, phi)
+            assert tb.classify(dom, x, d.I1) is GrazingClass.INFLECTION_PLUS
+            assert tb.classify(dom, x, d.I2) is GrazingClass.INFLECTION_MINUS
 
 
 def test_sign_ladder_ambiguous():
@@ -153,3 +160,113 @@ def test_sign_ladder_ambiguous():
 
 def test_local_curvature_radius(circle_domain):
     assert local_curvature_radius(circle_domain, 0.0) == pytest.approx(1.0)
+
+
+def _classes(fn, dom, rows):
+    out = []
+    for tau, phi, theta in rows:
+        w = (np.cos(theta) * dom.phi_hat(phi)
+             + np.sin(theta) * dom.meridian_tangent(tau, phi))
+        try:
+            out.append(fn(dom, dom.sigma(tau, phi), w))
+        except tb.GrazingAmbiguousError:
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("fixture,n_tau,seed", [
+    ("circle_domain", 32, 1), ("generic_circle_domain", 8, 2),
+    ("ellipse_domain", 8, 3), ("tilted_ellipse_domain", 6, 4)])
+def test_classify_matches_ladder_oracle(request, fixture, n_tau, seed):
+    """classify equals the sign ladder wherever the ladder resolves: on a
+    jittered tau x theta grid at random azimuths, and on the flat rows,
+    where both Taylor terms vanish (the azimuthal tangents where
+    gamma2' = 0, and the inflection directions at the zeros of h)."""
+    dom = request.getfixturevalue(fixture)
+    m = dom.markers
+    rng = np.random.default_rng(seed)
+    a, span = dom.profile.period[0], dom.profile.period_length
+    rows = [(a + span * (i + rng.uniform()) / n_tau, rng.uniform(0, TWO_PI),
+             np.pi * (j + rng.uniform()) / 8)
+            for i in range(n_tau) for j in range(16)]
+    flat = [(tau, 0.3, theta) for tau in (m.tau1_star, m.tau2_star)
+            for theta in (0.0, np.pi)]
+    for tau in m.z_h_zeros:
+        th = float(tb.inflection_angle(dom, tau))
+        flat += [(tau, 0.3, theta) for theta in (th, np.pi - th, np.pi + th,
+                                                 -th)]
+    want = _classes(classify_by_ladder, dom, rows + flat)
+    got = _classes(tb.classify, dom, rows + flat)
+    assert None not in got
+    assert None not in want[len(rows):]
+    assert [g for g, w in zip(got, want) if w] == [w for w in want if w]
+
+
+def test_classify_resolves_ladder_ambiguous_rows(circle_domain):
+    """On the default 64 x 16 classify-boundary grid of the circle the
+    ladder leaves 8 rows ambiguous, where the quadratic and the cubic term
+    cross inside it; the Taylor model reads them at s0 and agrees with the
+    ladder on every other row."""
+    rows = [(TWO_PI * i / 64, 0.0, np.pi * j / 8)
+            for i in range(64) for j in range(16)]
+    want = _classes(classify_by_ladder, circle_domain, rows)
+    got = _classes(tb.classify, circle_domain, rows)
+    P, M = GrazingClass.INFLECTION_PLUS, GrazingClass.INFLECTION_MINUS
+    resolved = {rows[k][0::2]: g for k, (g, w) in enumerate(zip(got, want))
+                if w is None}
+    assert resolved == {
+        (TWO_PI * i / 64, np.pi * j / 8): c
+        for i, classes in ((19, (M, M, P, P)), (45, (P, P, M, M)))
+        for j, c in zip((1, 7, 9, 15), classes)}
+    assert all(g is w for g, w in zip(got, want) if w is not None)
+
+
+def _section_terms(dom, tau):
+    """k1, k2 and their tau-derivatives, (gamma2'/gamma1)' and kappa'."""
+    prof = dom.profile
+    (t1, t2), (_, a2) = prof.deriv1(tau), prof.deriv2(tau)
+    g1 = float(prof.gamma1(tau))
+    k1 = t2 / g1
+    return (k1, float(prof.curvature(tau)), (a2 - k1 * t1) / g1,
+            float(prof.curvature_prime(tau)))
+
+
+@pytest.mark.parametrize("fixture", ["circle_domain", "ellipse_domain"])
+def test_taylor_model_residual_is_quartic(request, fixture):
+    """xi(x + s u) - (kappa_n s^2/2 + c3 s^3/6) falls 16-fold when s halves."""
+    dom = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(18)
+    ratios = []
+    for _ in range(40):
+        tau = rng.uniform(*dom.profile.period)
+        phi, theta = rng.uniform(0, TWO_PI, 2)
+        k1, k2, dk1, dk2 = _section_terms(dom, tau)
+        kn, c3 = _euler_taylor(k1, k2, np.cos(theta) ** 2, np.sin(theta),
+                               dk1, dk2)
+        x = dom.sigma(tau, phi)
+        u = (np.cos(theta) * dom.phi_hat(phi)
+             + np.sin(theta) * dom.meridian_tangent(tau, phi))
+        res = [float(dom.xi(x + s * u)) - (kn * s * s / 2 + c3 * s ** 3 / 6)
+               for s in (2e-2, 1e-2)]
+        ratios.append(res[0] / res[1])
+    assert 15.0 < np.median(ratios) < 17.0
+    assert min(ratios) > 12.0 and max(ratios) < 20.0
+
+
+@pytest.mark.parametrize("fixture", ["circle_domain", "ellipse_domain"])
+def test_cubic_term_at_inflection_angle_is_h(request, fixture):
+    """At the inflection angle kappa_n = 0 and c3 = (3/gamma1) h sin cos^2,
+    so classify calls the direction turned toward increasing tau
+    inflection+ exactly where h > 0, as inflection_directions orders I1."""
+    dom = request.getfixturevalue(fixture)
+    m = dom.markers
+    for rel in np.linspace(0.05, 0.95, 19):
+        tau = float(dom.profile.wrap(m.tau1_star + rel * m.inner_span))
+        theta = float(tb.inflection_angle(dom, tau))
+        k1, k2, dk1, dk2 = _section_terms(dom, tau)
+        kn, c3 = _euler_taylor(k1, k2, np.cos(theta) ** 2, np.sin(theta),
+                               dk1, dk2)
+        h = float(h_value(dom.profile, m, tau))
+        assert abs(kn) < 1e-12
+        assert abs(c3 - 3.0 / float(dom.profile.gamma1(tau)) * h
+                   * np.sin(theta) * np.cos(theta) ** 2) < 1e-12

@@ -58,19 +58,15 @@ def test_ellipse_grad_xi_is_unit(ellipse_domain, p):
 
 
 @pytest.fixture(scope="module")
-def march_domains(generic_circle_domain, ellipse_domain):
-    """The generic circle, the ellipse, a 64-point sampled circle and an
-    ellipse without mirror symmetry (semi-axes 1.5 and 0.8 about (3, 0),
-    tilted 0.3 rad, 256 samples from t = 0.37)."""
+def march_domains(generic_circle_domain, ellipse_domain,
+                  tilted_ellipse_domain):
+    """The generic circle, the ellipse, a 64-point sampled circle and the
+    tilted ellipse without mirror symmetry."""
     t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     circle = np.stack([2.0 + np.cos(t), np.sin(t)], axis=-1)
-    t = 0.37 + np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    c, s = np.cos(0.3), np.sin(0.3)
-    x, z = 1.5 * np.cos(t), 0.8 * np.sin(t)
-    tilted = np.stack([3.0 + c * x - s * z, s * x + c * z], axis=-1)
     return [generic_circle_domain, ellipse_domain,
             tb.ToroidalDomain(tb.curve_from_samples(circle)),
-            tb.ToroidalDomain(tb.curve_from_samples(tilted))]
+            tilted_ellipse_domain]
 
 
 unit = st.floats(0.0, 1.0)
