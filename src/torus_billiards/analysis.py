@@ -14,7 +14,7 @@ from . import grazing
 from .domain import PointClass, ToroidalDomain, point_class
 from .engine import (DEFAULT_MAX_BOUNCES, XI_ROOT_TOL, BilliardEngine,
                      PhaseState, Trajectory, TrajectoryStatus,
-                     angular_momentum, graze_stop)
+                     angular_momentum, bounce_cap, graze_stop)
 from .errors import DegenerateBasisError, NonSmoothPointError, NumericsError
 
 BADSET_CHUNK = 1024
@@ -220,49 +220,56 @@ def _polish_exits(domain: ToroidalDomain, base, w, lo, hi):
 
 def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
                      max_bounces=DEFAULT_MAX_BOUNCES,
-                     graze_threshold=grazing.DEFAULT_GRAZE_THRESHOLD):
+                     graze_threshold=grazing.DEFAULT_GRAZE_THRESHOLD,
+                     decided_below=0.0):
     """Vectorized backward tracer: minimum |n.v_hat| over bounces per sample.
 
     Returns (min_nd, n_bounces, stopped) arrays.  Near-tangential
     impacts whose exterior excursion is shorter than the march step are the
-    very statistic being measured, so the rays march by the domain's march
-    rule, as the engine does: a step whose ends both lie within blip_tol
-    below the boundary is subdivided to catch them.  Runs stop and are
-    capped as the engine's are (``graze_stop``, max_bounces).
+    very statistic being measured, so the rays march on the engine's grid
+    by the domain's march rule, blip subdivision included.  A ray jumps
+    over the points its last value certifies as deeper than blip_tol +
+    march_step (march_xi >= xi inside, xi is 1-Lipschitz).  Runs stop and
+    are capped as the engine's are, and retire once min_nd < decided_below.
     """
     n = len(dirs)
     x0 = np.asarray(x0, dtype=float)
-    pos = np.broadcast_to(x0, (n, 3)).copy()
-    vhat = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    w = -vhat  # backward rays travel against the velocity
-    remaining = np.full(n, float(L))
+    max_bounces = bounce_cap(max_bounces, DEFAULT_MAX_BOUNCES)
+    start = np.broadcast_to(x0, (n, 3)).copy()   # each ray's chord start
+    # backward rays travel against the velocity
+    w = -dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    left = np.full(n, float(L))   # length left at the chord start
+    j = np.zeros(n)               # grid index of the last march point
     # xi at each ray's last march point; a bounce point counts as 0
     xi_prev = np.full(n, float(domain.march_xi(x0)))
     min_nd = np.full(n, np.inf)
     bounces = np.zeros(n, dtype=int)
     stopped = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
-    tol = domain.blip_tol
+    step, tol = domain.march_step, domain.blip_tol
 
-    def bounce(ci, xb, wv, sb):
-        """Reflect the rays ci at their exits xb, reached after sb along wv."""
+    def bounce(ci, sb):
+        """Reflect the rays ci at their exits, sb along their chords."""
+        wv = w[ci]
+        xb = start[ci] + sb[:, None] * wv
         nrm = domain.grad_xi(xb)
         nd = np.abs(np.einsum("ij,ij->i", nrm, wv))
         min_nd[ci] = np.minimum(min_nd[ci], nd)
         bounces[ci] += 1
-        remaining[ci] -= sb
+        left[ci] -= sb
         wr = wv - 2.0 * np.einsum("ij,ij->i", nrm, wv)[:, None] * nrm
         # nudge off the boundary so the next march step starts inside
-        pos[ci] = xb + 1e-9 * wr
+        start[ci] = xb + 1e-9 * wr
+        j[ci] = 0.0
         xi_prev[ci] = 0.0
         w[ci] = wr
-        # a run ends at the engine's stop rule (the backward run's
-        # velocity is -w), at the bounce cap or when its length is spent
+        # a run ends at the engine's stop rule (the backward run's velocity
+        # is -w), at the bounce cap, when its length is spent or decided
         for r in np.nonzero(nd < graze_threshold)[0]:
             stopped[ci[r]] = graze_stop(domain, xb[r], -wv[r], -1,
                                         graze_threshold)[1] is not None
         active[ci[stopped[ci] | (bounces[ci] >= max_bounces)
-                  | (remaining[ci] <= 0.0)]] = False
+                  | (left[ci] <= 0.0) | (min_nd[ci] < decided_below)]] = False
 
     # the engine's start rule at a boundary base point: a tangential ray
     # meets the stop rule before it moves, and a ray that leaves at once
@@ -276,45 +283,42 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
         active[stopped] = False
         out = np.nonzero(nd0 >= graze_threshold)[0]
         if out.size:
-            bounce(out, pos[out], w[out], np.zeros(out.size))
+            bounce(out, np.zeros(out.size))
 
     while np.any(active):
         idx = np.nonzero(active)[0]
-        s = np.minimum(domain.march_step, remaining[idx])
-        trial = pos[idx] + s[:, None] * w[idx]
-        xi = domain.march_xi(trial)
+        k = np.floor((-xi_prev[idx] - tol) / step)   # steps certified deep
+        last = np.ceil(left[idx] / step)   # index of the clipped point
+        jn = np.minimum(j[idx] + np.maximum(k, 1.0), last)
+        s = np.minimum(jn * step, left[idx])
+        xi = domain.march_xi(start[idx] + s[:, None] * w[idx])
         crossed = xi > 0.0
         # exit bracket [lo, hi] of each step, narrowed where a blip is found
-        lo = np.zeros(len(idx))
-        hi = s.copy()
+        lo, hi = (jn - 1.0) * step, s
         near = np.nonzero((xi > -tol) & ~crossed & (xi_prev[idx] > -tol))[0]
         if near.size:
             rays = idx[near]
-            has, b_lo, b_hi = domain.blip_brackets(pos[rays], w[rays],
+            has, b_lo, b_hi = domain.blip_brackets(start[rays], w[rays],
                                                    lo[near], hi[near])
             rows = near[has]
             crossed[rows] = True
             lo[rows], hi[rows] = b_lo, b_hi
         ok = ~crossed
         ii = idx[ok]
-        pos[ii] = trial[ok]
-        xi_prev[ii] = xi[ok]
-        remaining[ii] -= s[ok]
-        done = ii[remaining[ii] <= 0.0]
-        active[done] = False
+        j[ii], xi_prev[ii] = jn[ok], xi[ok]
+        active[ii[jn[ok] >= last[ok]]] = False
         ci = idx[crossed]
         if ci.size:
-            base = pos[ci]
-            wv = w[ci]
-            sb = _polish_exits(domain, base, wv, lo[crossed], hi[crossed])
-            bounce(ci, base + sb[:, None] * wv, wv, sb)
+            bounce(ci, _polish_exits(domain, start[ci], w[ci], lo[crossed],
+                                     hi[crossed]))
     return min_nd, bounces, stopped
 
 
-def _trace_samples(engine: BilliardEngine, x, L, n_samples, seed):
+def _trace_samples(engine: BilliardEngine, x, L, n_samples, seed,
+                   decided_below):
     """Sample n_samples directions in chunks of BADSET_CHUNK and trace each
-    once under the engine's bounce cap and stop rule.  Returns (units,
-    min_nd, bounces, stopped), one entry per sample; deterministic.
+    once by _trace_min_graze under the engine's bounce cap and stop rule.
+    Returns (units, min_nd, bounces, stopped), one entry per sample.
 
     Raises ValueError unless x is a finite point of the closed domain, L is
     finite and positive and n_samples is positive.
@@ -336,7 +340,8 @@ def _trace_samples(engine: BilliardEngine, x, L, n_samples, seed):
         units = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
         chunks.append((units, *_trace_min_graze(
             engine.domain, x, dirs, L, max_bounces=engine.max_bounces,
-            graze_threshold=engine.graze_threshold)))
+            graze_threshold=engine.graze_threshold,
+            decided_below=decided_below)))
     return tuple(np.concatenate(col) for col in zip(*chunks))
 
 
@@ -345,13 +350,15 @@ def _badset_row(engine: BilliardEngine, x, samples, delta, ring_specs):
 
     A sample is bad when its backward run comes within delta of grazing,
     is ended by the engine's stop rule (stopped_at_inflection) or bounce
-    cap (max_bounces), or its direction falls in any of ring_specs.
+    cap (max_bounces), or its direction falls in any of ring_specs.  The
+    stop and cap counts leave out near-grazing (perhaps retired) samples.
     """
     units, min_nd, bounces, stopped = samples
     n = len(min_nd)
     grz = min_nd < delta
     # a run that stops on its last allowed bounce is stopped, as in the engine
-    capped = (bounces >= engine.max_bounces) & ~stopped
+    capped = (bounces >= engine.max_bounces) & ~(stopped | grz)
+    stopped = stopped & ~grz
     ring = np.zeros(n, dtype=bool)
     for flag in ring_membership(engine.domain, x, units, ring_specs):
         ring |= flag
@@ -376,7 +383,9 @@ def _badset_rows(engine: BilliardEngine, x, L, n_samples, seed, deltas,
     for spec in (s for specs in spec_rows for s in specs):
         if spec.kind == "angular-momentum":
             ring_reference_momentum(engine.domain, spec.tau_ref)
-    samples = _trace_samples(engine, x, L, n_samples, seed)
+    # a sample below the smallest threshold is bad in every row
+    samples = _trace_samples(engine, x, L, n_samples, seed,
+                             min(deltas, default=0.0))
     return [_badset_row(engine, x, samples, d, specs)
             for d, specs in zip(deltas, spec_rows)]
 

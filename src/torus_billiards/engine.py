@@ -123,6 +123,17 @@ def graze_stop(domain: ToroidalDomain, x_b, v, direction, graze_threshold):
     return g, None
 
 
+def bounce_cap(max_bounces, default):
+    """max_bounces as an int, default if None; a non-bool integer >= 1."""
+    if max_bounces is None:
+        return default
+    if isinstance(max_bounces, bool) or not (
+            isinstance(max_bounces, numbers.Integral) and max_bounces >= 1):
+        raise ValueError(
+            f"max_bounces must be an integer >= 1, got {max_bounces!r}")
+    return int(max_bounces)
+
+
 class BilliardEngine:
     """Trajectory integrator over an immutable ToroidalDomain."""
 
@@ -132,14 +143,9 @@ class BilliardEngine:
         if not 0.0 < graze_threshold < 1.0:
             raise ValueError(
                 f"graze_threshold must lie in (0, 1), got {graze_threshold!r}")
-        if (isinstance(max_bounces, bool)
-                or not isinstance(max_bounces, numbers.Integral)
-                or max_bounces < 1):
-            raise ValueError(
-                f"max_bounces must be an integer >= 1, got {max_bounces!r}")
         self.domain = domain
         self.graze_threshold = float(graze_threshold)
-        self.max_bounces = int(max_bounces)
+        self.max_bounces = bounce_cap(max_bounces, DEFAULT_MAX_BOUNCES)
 
     # -- exit times -------------------------------------------------------
 
@@ -274,7 +280,7 @@ class BilliardEngine:
         traj = Trajectory(direction=direction, origin=PhaseState(x, v, t),
                           phi0=phi0)
         remaining = float(length)
-        cap = self.max_bounces if max_bounces is None else int(max_bounces)
+        cap = bounce_cap(max_bounces, self.max_bounces)
         status = TrajectoryStatus.COMPLETED
         drift_v = 0.0
         drift_w = 0.0

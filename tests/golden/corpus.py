@@ -1,8 +1,11 @@
-"""Golden output corpus of the command-line subcommands.
+"""Golden output corpus of the command-line subcommands and of the bad-set
+tracer.
 
 Every subcommand runs on a circle config and an ellipse config with reduced
-grids; the outputs are committed under ``tests/golden/<config>/``.
-``tests/test_golden.py`` compares fresh runs against them.  Run
+grids; the outputs are committed under ``tests/golden/<config>/``.  The
+tracer's (min_nd, bounces, stopped) arrays of each input in TRACERS are
+committed under ``tests/golden/tracer/``.  ``tests/test_golden.py`` compares
+fresh runs against them.  Run
 
     PYTHONPATH=src python tests/golden/corpus.py
 
@@ -11,6 +14,7 @@ replaces it prints the largest change of each numeric output field, and the
 changed rows of every other field with their transitions.
 """
 
+import functools
 import json
 import math
 import sys
@@ -18,6 +22,10 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
+import torus_billiards as tb
+from torus_billiards.analysis import _sample_directions, _trace_min_graze
 from torus_billiards.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -65,10 +73,44 @@ CONFIGS = {
 }
 COMMANDS = ("simulate", "classify-boundary", "inflection-map", "badset",
             "jacobian", "recurrence-check", "coords-check")
+# name: (domain, base point, samples, length) of the tracer arrays, with the
+# directions of seed 0: the three TRACER_CASES of tests/test_analysis.py,
+# the benchmark's generic-circle scan and the quadric's outer equator
+TRACERS = {
+    "quadric": ("quadric", [2.0, 0.0, 0.0], 256, 8.0),
+    "generic": ("generic-circle", [2.0, 0.0, 0.0], 64, 4.0),
+    "ellipse": ("ellipse", [3.0, 0.0, 0.0], 8, 3.0),
+    "generic-scan": ("generic-circle", [2.0, 0.0, 0.0], 1024, 1.5),
+    "quadric-equator": ("quadric", [3.0, 0.0, 0.0], 256, 5.0),
+}
 
 
 def golden_path(config, cmd):
     return HERE / config / f"{cmd}.txt"
+
+
+def tracer_path(name):
+    return HERE / "tracer" / f"{name}.csv"
+
+
+@functools.cache
+def _domain(kind):
+    if kind == "quadric":
+        return tb.CircleTorusDomain(2.0, 1.0)
+    if kind == "generic-circle":
+        return tb.ToroidalDomain(tb.circle_generator(2.0, 1.0))
+    return tb.ToroidalDomain(tb.ellipse_generator(3.0, 2.0, 1.0))
+
+
+def run_tracer(name):
+    """CSV of the tracer's (min_nd, bounces, stopped) arrays, one row per
+    sample."""
+    kind, x, n, L = TRACERS[name]
+    min_nd, bounces, stopped = _trace_min_graze(
+        _domain(kind), np.array(x), _sample_directions(0, 0, n), L)
+    return "min_nd,bounces,stopped\n" + "".join(
+        f"{m!r},{b},{int(s)}\n"
+        for m, b, s in zip(min_nd.tolist(), bounces.tolist(), stopped))
 
 
 def run_case(config, cmd):
@@ -120,10 +162,16 @@ def _numeric(u, v):
             and math.isfinite(u) and math.isfinite(v))
 
 
+def _same(u, v):
+    """Equal values, NaN counting as equal to NaN."""
+    return u == v or all(isinstance(w, float) and math.isnan(w)
+                         for w in (u, v))
+
+
 def changes(cmd, old, new):
     """{field: largest change} from old to new output text.  Finite numbers
-    give the largest absolute difference; any other value that differs,
-    and a changed layout, give inf."""
+    give the largest absolute difference; any other value that differs
+    (NaN on one side only included), and a changed layout, give inf."""
     a, b = fields(cmd, old), fields(cmd, new)
     if [n for n, _ in a] != [n for n, _ in b]:
         return {f"{cmd}:layout": math.inf}
@@ -132,7 +180,7 @@ def changes(cmd, old, new):
         if _numeric(u, v):
             d = abs(u - v)
         else:
-            d = 0.0 if u == v else math.inf
+            d = 0.0 if _same(u, v) else math.inf
         out[name] = max(out.get(name, 0.0), d)
     return out
 
@@ -145,12 +193,22 @@ def report(cmd, old, new):
     turns = {}
     if f"{cmd}:layout" not in moved:
         for (name, u), (_, v) in zip(fields(cmd, old), fields(cmd, new)):
-            if u != v and not _numeric(u, v):
+            if not (_same(u, v) or _numeric(u, v)):
                 turns.setdefault(name, Counter())[f"{u}→{v}"] += 1
     return [f"{k} {d:.3g}" if k not in turns else
             f"{k} {sum(turns[k].values())} rows: "
             + ", ".join(f"{t} {n}" for t, n in sorted(turns[k].items()))
             for k, d in sorted(moved.items())]
+
+
+def _write(label, cmd, path, text):
+    old = path.read_text() if path.exists() else None
+    path.write_text(text)
+    if old is None:
+        print(f"{label}: new")
+    else:
+        print(f"{label}: "
+              + ("; ".join(report(cmd, old, text)) or "unchanged"))
 
 
 def rewrite():
@@ -161,14 +219,11 @@ def rewrite():
             code, text = run_case(config, cmd)
             if code != 0:
                 sys.exit(f"{config} {cmd}: exit {code}")
-            path = golden_path(config, cmd)
-            old = path.read_text() if path.exists() else None
-            path.write_text(text)
-            if old is None:
-                print(f"{config} {cmd}: new")
-                continue
-            print(f"{config} {cmd}: "
-                  + ("; ".join(report(cmd, old, text)) or "unchanged"))
+            _write(f"{config} {cmd}", cmd, golden_path(config, cmd), text)
+    (HERE / "tracer").mkdir(exist_ok=True)
+    for name in TRACERS:
+        _write(f"tracer {name}", "tracer", tracer_path(name),
+               run_tracer(name))
 
 
 if __name__ == "__main__":

@@ -159,3 +159,14 @@ def classify_by_ladder(domain, x, v, graze_threshold=DEFAULT_GRAZE_THRESHOLD):
             (False, False): GrazingClass.CONCAVE,
             (True, False): GrazingClass.INFLECTION_PLUS,
             (False, True): GrazingClass.INFLECTION_MINUS}[fwd_out, bwd_out]
+
+
+def clamped_march_xi(domain, p):
+    """The domain's march_xi raised to at least -blip_tol - 1.5 march_step.
+
+    It keeps the march_xi contract, and a tracer reading it certifies no
+    march point as deep enough to jump over, so it reads every one (set it
+    on a domain instance with ``functools.partial(clamped_march_xi, d)``).
+    """
+    return np.maximum(type(domain).march_xi(domain, p),
+                      -domain.blip_tol - 1.5 * domain.march_step)

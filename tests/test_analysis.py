@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from torus_billiards.engine import XI_ROOT_TOL
 from torus_billiards.grazing import DEFAULT_GRAZE_THRESHOLD
 
 from conftest import random_interior_states
-from oracles import bisect_exits, nearest_parameter_full_table
+from oracles import (bisect_exits, clamped_march_xi,
+                     nearest_parameter_full_table)
 
 TWO_PI = 2.0 * np.pi
 SQRT3 = np.sqrt(3.0)
@@ -269,6 +272,46 @@ def test_tracer_march_matches_exact_xi(request, monkeypatch, fixture, x, n,
     assert got[1].sum() > 0
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("fixture,x,n,L", TRACER_CASES + [
+    ("circle_domain", [2.0, 0.0, 0.0], 1024, 10.0),
+    ("generic_circle_domain", [2.0, 0.0, 0.0], 1024, 1.5),
+    ("circle_domain", [3.0, 0.0, 0.0], 256, 5.0),
+    ("circle_domain", [2.0, 0.0, 1.0], 256, 5.0)])
+def test_tracer_jumps_match_step_by_step_march(request, monkeypatch, fixture,
+                                              x, n, L):
+    """Jumping over the march points a ray's last march value certifies as
+    deep leaves the outputs bit-identical to the march that reads every
+    point (the benchmark's two scan inputs and two boundary base points
+    follow TRACER_CASES)."""
+    domain = request.getfixturevalue(fixture)
+    x = np.array(x)
+    dirs = _sample_directions(0, 0, n)
+    got = _trace_min_graze(domain, x, dirs, L)
+    monkeypatch.setattr(domain, "march_xi",
+                        functools.partial(clamped_march_xi, domain))
+    want = _trace_min_graze(domain, x, dirs, L)
+    assert got[1].sum() > 0
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+EPS = (0.02, 0.01, 0.005)
+
+
+@pytest.mark.parametrize("x", [[3.0, 0.0, 0.0], [2.0, 0.0, 1.0]])
+def test_badset_rows_unmoved_by_retired_samples(circle_engine, x):
+    """A sample retired once its min_nd is below the smallest delta is bad
+    in every row: fraction, ci95 and near_grazing equal those of full
+    traces, and the exclusive stop and cap counts are those of the full
+    traces' samples that are not near-grazing."""
+    x = np.array(x)
+    rows = tb.badset_scan(circle_engine, x, 0.0, EPS, 5.0, 512, 3)
+    full = analysis._trace_samples(circle_engine, x, 5.0, 512, 3, 0.0)
+    assert rows[-1]["near_grazing"] > 0
+    for delta, row in zip(EPS, rows):
+        assert row == analysis._badset_row(circle_engine, x, full, delta, ())
 
 
 def _creep_rays(domain, per_tilt):

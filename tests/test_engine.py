@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import torus_billiards as tb
+from torus_billiards import analysis
 from torus_billiards.engine import TrajectoryStatus, _wrap_pi
 
 from conftest import random_interior_states
@@ -189,6 +190,28 @@ def test_phase_state_validation():
 def test_engine_rejects_bad_cap_and_threshold(circle_domain, kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         tb.BilliardEngine(circle_domain, **kwargs)
+
+
+@pytest.mark.parametrize("cap", [0, -1, True, 2.5])
+@pytest.mark.parametrize("run", [
+    "forward_cycles", "backward_cycles", "tracer", "bounce_count"])
+def test_per_call_cap_is_checked(circle_engine, run, cap):
+    """A per-call max_bounces obeys the constructor's rule: the run would
+    bounce within its length, and every entry point rejects the cap before
+    it moves."""
+    x, v = np.array([2.0, 0.0, 0.0]), np.array([0.3, 0.9, 0.2])
+    calls = {
+        "forward_cycles": lambda: circle_engine.forward_cycles(
+            tb.PhaseState(x, v), 5.0, max_bounces=cap),
+        "backward_cycles": lambda: circle_engine.backward_cycles(
+            tb.PhaseState(x, v), 5.0, max_bounces=cap),
+        "tracer": lambda: analysis._trace_min_graze(
+            circle_engine.domain, x, v[None], 5.0, max_bounces=cap),
+        "bounce_count": lambda: analysis.bounce_count(
+            circle_engine, x, v, 5.0, max_bounces=cap),
+    }
+    with pytest.raises(ValueError, match="max_bounces"):
+        calls[run]()
 
 
 @pytest.mark.parametrize("length", [np.nan, np.inf, -3.0])

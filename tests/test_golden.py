@@ -1,19 +1,24 @@
-"""Fresh command-line outputs against the golden corpus in tests/golden/.
+"""Fresh command-line outputs and tracer arrays against the golden corpus
+in tests/golden/.
 
-The circle config must reproduce its files byte for byte.  The ellipse
-config is compared field by field: each numeric field may move by at most
-its bound below (0 where none is given), every other field not at all.
+The circle config and the quadric's tracer arrays must reproduce their
+files byte for byte.  The ellipse config and the other tracer arrays are
+compared field by field: each numeric field may move by at most its bound
+below (0 where none is given), every other field not at all.
 A change made on purpose is recorded by rewriting the corpus with
 ``tests/golden/corpus.py``, whose report of each changed field (the
 largest change of a number, the changed rows and transitions of any other
 value) goes with the change.
 """
 
+import math
+
 import pytest
 
-from golden.corpus import COMMANDS, changes, golden_path, report, run_case
+from golden.corpus import (COMMANDS, TRACERS, changes, golden_path, report,
+                           run_case, run_tracer, tracer_path)
 
-ELLIPSE_BOUNDS = {
+FIELD_BOUNDS = {
     **dict.fromkeys(["simulate:bounce." + k for k in (
         "x", "t", "tau", "phi_unwrapped", "v_out", "normal_dot")], 1e-9),
     "simulate:header.total_length": 1e-9,
@@ -29,6 +34,7 @@ ELLIPSE_BOUNDS = {
     "recurrence-check:d_phi": 1e-9,
     "recurrence-check:r1": 1e-6,
     "recurrence-check:r2": 1e-6,
+    "tracer:min_nd": 1e-12,
 }
 
 
@@ -44,8 +50,30 @@ def test_ellipse_outputs_within_field_bounds(cmd):
     code, text = run_case("ellipse", cmd)
     assert code == 0
     moved = changes(cmd, golden_path("ellipse", cmd).read_text(), text)
-    over = {k: d for k, d in moved.items() if d > ELLIPSE_BOUNDS.get(k, 0.0)}
+    over = {k: d for k, d in moved.items() if d > FIELD_BOUNDS.get(k, 0.0)}
     assert not over, f"fields beyond their bounds: {over}"
+
+
+@pytest.mark.parametrize("name", TRACERS)
+def test_tracer_arrays_are_golden(name):
+    text = run_tracer(name)
+    want = tracer_path(name).read_text()
+    if TRACERS[name][0] == "quadric":
+        assert text == want
+        return
+    moved = changes("tracer", want, text)
+    over = {k: d for k, d in moved.items() if d > FIELD_BOUNDS.get(k, 0.0)}
+    assert not over, f"fields beyond their bounds: {over}"
+
+
+def test_nan_fields_compare_as_values():
+    """NaN on both sides is unchanged; NaN on one side is a change of inf
+    and a transition of its field."""
+    assert changes("c", "a\nnan\n", "a\nnan\n") == {"c:a": 0.0}
+    assert changes("c", "a\nnan\n", "a\n1.0\n") == {"c:a": math.inf}
+    assert report("c", "a\nnan\n", "a\nnan\n") == []
+    assert report("c", "a\n1.0\nnan\n", "a\nnan\nnan\n") == [
+        "c:a 1 rows: 1.0→nan 1"]
 
 
 def test_report_counts_changed_rows_of_text_fields():

@@ -1,11 +1,12 @@
-"""Property tests of the generic signed-distance indicator and of the
-configuration reader.
+"""Property tests of the generic signed-distance indicator, of the bad-set
+tracer's march and of the configuration reader.
 
 The examples are derandomized, so a run is repeatable; each property draws
 at most 200 examples.
 """
 
 import copy
+import functools
 import json
 
 import numpy as np
@@ -14,7 +15,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torus_billiards as tb
+from torus_billiards.analysis import _sample_directions, _trace_min_graze
 from torus_billiards.cli import BLOCK_KEYS, HANDLERS, main
+
+from oracles import clamped_march_xi
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 # away from these sets the closed forms keep their digits: the gradient
@@ -100,7 +104,36 @@ def test_march_xi_agrees_with_xi(march_domains, k, box, tau, phi, depth,
     assert np.array_equal(got[band], want[band])
 
 
-# -- configuration fuzz ------------------------------------------------------
+@pytest.mark.parametrize("k", range(4),
+                         ids=["quadric", "generic", "ellipse", "tilted"])
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(tau=unit, phi=unit,
+       depth=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.4]),
+       seed=st.integers(0, 2**16), L=st.floats(0.2, 1.5))
+def test_tracer_jump_is_invisible(circle_domain, generic_circle_domain,
+                                  ellipse_domain, tilted_ellipse_domain, k,
+                                  tau, phi, depth, seed, L):
+    """From a base point on the boundary, within 1e-6 of it or deeper
+    inside (depth along the inward normal), the tracer's outputs equal
+    those of the march that reads every point."""
+    dom = [circle_domain, generic_circle_domain, ellipse_domain,
+           tilted_ellipse_domain][k]
+    prof = dom.profile
+    t = prof.period[0] + tau * prof.period_length
+    a = 2.0 * np.pi * phi
+    x = dom.sigma(t, a) - depth * dom.outward_normal(t, a)
+    dirs = _sample_directions(seed, 0, 4)
+    # the cap bounds the cost of a ray that creeps along the wall
+    got = _trace_min_graze(dom, x, dirs, L, max_bounces=50)
+    dom.march_xi = functools.partial(clamped_march_xi, dom)
+    try:
+        want = _trace_min_graze(dom, x, dirs, L, max_bounces=50)
+    finally:
+        del dom.march_xi
+    for u, v in zip(got, want):
+        assert np.array_equal(u, v)
+
+
 # -- configuration fuzz ------------------------------------------------------
 
 # a small valid block for each subcommand; numbers drawn below are bounded so
