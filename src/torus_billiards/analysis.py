@@ -376,6 +376,8 @@ def _badset_rows(engine: BilliardEngine, x, L, n_samples, seed, deltas,
     """One _badset_row per threshold in deltas, with the ring specs of the
     same index in spec_rows, over one traced sample set.  Every threshold
     and angular-momentum ring is checked before any ray is traced."""
+    if len(deltas) == 0:
+        raise ValueError("at least one threshold delta is required")
     for d in deltas:
         if not (math.isfinite(d) and d > 0.0):
             raise ValueError(
@@ -385,7 +387,7 @@ def _badset_rows(engine: BilliardEngine, x, L, n_samples, seed, deltas,
             ring_reference_momentum(engine.domain, spec.tau_ref)
     # a sample below the smallest threshold is bad in every row
     samples = _trace_samples(engine, x, L, n_samples, seed,
-                             min(deltas, default=0.0))
+                             min(deltas))
     return [_badset_row(engine, x, samples, d, specs)
             for d, specs in zip(deltas, spec_rows)]
 

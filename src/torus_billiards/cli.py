@@ -86,9 +86,11 @@ def _merge(base, override):
 
 def _invalid(key, val):
     """What the value of a config block key must be, if val is not; else
-    None.  Names and flags are checked where they are read."""
-    if key in ("kind", "direction", "inner_only"):
+    None.  Names are checked where they are read."""
+    if key in ("kind", "direction"):
         return None
+    if key == "inner_only":
+        return None if type(val) is bool else "true or false"
     if key in ("n_tau", "n_theta", "samples", "max_bounces"):
         return None if type(val) is int and val >= 1 else "an integer >= 1"
     ok = all(type(w) in (int, float) and math.isfinite(w)
@@ -316,7 +318,7 @@ def cmd_recurrence_check(cfg, args):
     traj = engine.forward_cycles(state, float(block.get("length", 50.0)))
     recs = analysis.recurrence_residuals(
         engine.domain, traj,
-        inner_only=bool(block.get("inner_only", True)),
+        inner_only=block.get("inner_only", True),
         gate=float(block.get("gate", 0.1)),
         z_h_band=cfg["tolerances"]["z_h_band"])
     lines = ["# " + json.dumps(meta_record(cfg), sort_keys=True),

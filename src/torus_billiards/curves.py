@@ -10,15 +10,13 @@ input curves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import make_interp_spline
-from scipy.optimize import brentq
 
-from .errors import InvariantViolation, NonConformingCurveError
+from .errors import InvariantViolation, NonConformingCurveError, NumericsError
 
 UNIT_SPEED_TOL = 1e-10
 DEFAULT_SCAN_POINTS = 4096
@@ -143,12 +141,53 @@ class CurveMarkers:
         return min(d)
 
 
-def _scan_zeros(fn, lo, hi, n):
-    """All simple zeros of fn on [lo, hi) by dense scan + brentq.
+def brent_root(f, a, b, xtol, rtol):
+    """Root of f in [a, b] by Brent's method (Algorithms for Minimization
+    without Derivatives, 1973, ch. 4), step for step as scipy's brentq; raises
+    NumericsError on a same-sign bracket, a NaN or 100 iterations."""
+    def value(x):
+        if math.isnan(fx := float(f(x))):
+            raise NumericsError(f"root function is NaN at x = {x!r}")
+        return fx
 
-    fn must accept an array of parameters (the scan is one call) as well as
-    a scalar (each sign change is polished by brentq).
-    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericsError(f"root bracket [{a!r}, {b!r}] has no sign change")
+    for _ in range(100):       # the first pass sets xblk, fblk, spre, scur
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf        # bisect unless an interpolated step is short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:              # inverse quadratic; a zero divisor bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NumericsError(f"root not converged in 100 iterations near {xcur!r}")
+
+
+def _scan_zeros(fn, lo, hi, n):
+    """All simple zeros of fn on [lo, hi): one call of fn on a dense array
+    scan, then brent_root on each sign change with scalar calls."""
     ts = np.linspace(lo, hi, n + 1)
     vals = np.asarray(fn(ts), dtype=float)
     v0, v1 = vals[:-1], vals[1:]
@@ -157,7 +196,7 @@ def _scan_zeros(fn, lo, hi, n):
         if v0[i] == 0.0:
             zeros.append(ts[i])
         else:
-            zeros.append(brentq(fn, ts[i], ts[i + 1], xtol=1e-14, rtol=1e-15))
+            zeros.append(brent_root(fn, ts[i], ts[i + 1], 1e-14, 1e-15))
     return zeros
 
 
@@ -299,6 +338,7 @@ def reparametrize_arclength(raw: ParametricCurve) -> ProfileCurve:
         d = raw.deriv1(t)
         return float(np.hypot(d[..., 0], d[..., 1]))
 
+    from scipy.integrate import quad, solve_ivp
     total, err = quad(speed, t0, t1, limit=400, epsabs=1e-13, epsrel=1e-13)
 
     sol = solve_ivp(lambda s, t: 1.0 / speed(t[0]), (0.0, total), [t0],
@@ -354,6 +394,7 @@ def curve_from_samples(points: Sequence) -> ProfileCurve:
         pts = pts[:-1]
     t = np.arange(len(pts) + 1, dtype=float)
     closed = np.vstack([pts, pts[:1]])
+    from scipy.interpolate import make_interp_spline
     spl = make_interp_spline(t, closed, k=5, bc_type="periodic", axis=0)
     raw = ParametricCurve(eval_fn=spl, deriv1_fn=spl.derivative(1),
                           deriv2_fn=spl.derivative(2), span=(0.0, float(len(pts))))

@@ -17,9 +17,9 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import grazing
+from .curves import brent_root
 from .domain import PointClass, ToroidalDomain, point_class, rotation_z
 from .errors import (GrazingAmbiguousError, NumericsError,
                      TrajectoryStoppedError)
@@ -228,7 +228,7 @@ class BilliardEngine:
         if g(sl) >= 0.0:
             raise GrazingAmbiguousError(
                 "tangential departure could not be bracketed")
-        s_root = brentq(g, sl, hi, xtol=1e-15, rtol=1e-15)
+        s_root = brent_root(g, sl, hi, 1e-15, 1e-15)
         lo = max(s_root - 1e-9 * hi, sl)
         if float(dom.xi(x + lo * v)) < 0.0:
             return self._refine_root(x, v, lo, hi)

@@ -1,11 +1,13 @@
-"""Golden output corpus of the command-line subcommands and of the bad-set
-tracer.
+"""Golden output corpus of the command-line subcommands, of the bad-set
+tracer and of the billiard engine.
 
 Every subcommand runs on a circle config and an ellipse config with reduced
 grids; the outputs are committed under ``tests/golden/<config>/``.  The
 tracer's (min_nd, bounces, stopped) arrays of each input in TRACERS are
-committed under ``tests/golden/tracer/``.  ``tests/test_golden.py`` compares
-fresh runs against them.  Run
+committed under ``tests/golden/tracer/``, and the bounce events and end
+states of the forward orbits of each input in ENGINES under
+``tests/golden/engine/``.  ``tests/test_golden.py`` compares fresh runs
+against them.  Run
 
     PYTHONPATH=src python tests/golden/corpus.py
 
@@ -25,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 import torus_billiards as tb
+from torus_billiards import grazing
 from torus_billiards.analysis import _sample_directions, _trace_min_graze
 from torus_billiards.cli import main
 
@@ -84,6 +87,16 @@ TRACERS = {
     "quadric-equator": ("quadric", [3.0, 0.0, 0.0], 256, 5.0),
 }
 
+# name: (domain, length, interior, boundary and creeping starts) of the
+# engine's forward orbits, with the starts of seed 0; every bounce of a
+# creeping orbit solves for its exit with the known root s = 0 divided out
+ENGINES = {
+    "quadric": ("quadric", 10.0, 20, 5, 0),
+    "quadric-creep": ("quadric", 3.0, 0, 0, 6),
+    "generic": ("generic-circle", 8.0, 20, 5, 0),
+    "ellipse": ("ellipse", 6.0, 20, 5, 0),
+}
+
 
 def golden_path(config, cmd):
     return HERE / config / f"{cmd}.txt"
@@ -91,6 +104,10 @@ def golden_path(config, cmd):
 
 def tracer_path(name):
     return HERE / "tracer" / f"{name}.csv"
+
+
+def engine_path(name):
+    return HERE / "engine" / f"{name}.csv"
 
 
 @functools.cache
@@ -111,6 +128,71 @@ def run_tracer(name):
     return "min_nd,bounces,stopped\n" + "".join(
         f"{m!r},{b},{int(s)}\n"
         for m, b, s in zip(min_nd.tolist(), bounces.tolist(), stopped))
+
+
+def _unit(r):
+    v = r.standard_normal(3)
+    return v / np.linalg.norm(v)
+
+
+def engine_starts(dom, n_interior, n_boundary, n_creep):
+    """(x, v) starts of seed 0.  Interior points lie on segments from the
+    cross-section's centre towards a boundary point, at most 0.9 of the
+    way; boundary points get a random direction, inward or outward; a
+    creeping start leaves an inner-region boundary point between the
+    inflection direction and the meridian, tilted 0.005-0.02 rad into the
+    wall."""
+    r = np.random.default_rng(0)
+    a, b = dom.profile.period
+    c = dom.profile.eval(np.linspace(a, b, 64, endpoint=False)).mean(axis=0)
+    out = []
+    for _ in range(n_interior):
+        rz = c + r.uniform(0.0, 0.9) * (dom.profile.eval(r.uniform(a, b)) - c)
+        phi = r.uniform(0.0, 2.0 * math.pi)
+        out.append((np.array([rz[0] * math.cos(phi), rz[0] * math.sin(phi),
+                              rz[1]]), _unit(r)))
+    for _ in range(n_boundary):
+        out.append((dom.sigma(r.uniform(a, b), r.uniform(0.0, 2.0 * math.pi)),
+                    _unit(r)))
+    m = dom.markers
+    for _ in range(n_creep):
+        tau = float(dom.profile.wrap(m.tau1_star
+                                     + r.uniform(0.15, 0.85) * m.inner_span))
+        phi = r.uniform(0.0, 2.0 * math.pi)
+        theta = float(grazing.inflection_angle(dom, tau))
+        alpha = theta + r.uniform(0.2, 0.8) * (0.5 * math.pi - theta)
+        tilt = 0.02 * 4.0 ** -r.uniform(0.0, 1.0)
+        u = (math.cos(alpha) * dom.phi_hat(phi)
+             + math.sin(alpha) * dom.meridian_tangent(tau, phi))
+        out.append((dom.sigma(tau, phi), math.cos(tilt) * u
+                    - math.sin(tilt) * dom.outward_normal(tau, phi)))
+    return out
+
+
+def run_engine(name):
+    """CSV of the engine's forward orbits: one "bounce" row per event (its
+    grazing class under "class") and one "end" row per orbit (end state,
+    unwrapped azimuth and status)."""
+    kind, length, *counts = ENGINES[name]
+    dom = _domain(kind)
+    eng = tb.BilliardEngine(dom)
+    rows = ["start,record,k,t,x,y,z,tau,phi,vx,vy,vz,normal_dot,class\n"]
+
+    def row(i, record, k, t, x, tau, phi, v, nd, cls):
+        nums = [float(t), *np.asarray(x).tolist(), tau, float(phi),
+                *np.asarray(v).tolist(), nd]
+        rows.append(f"{i},{record},{k}," + ",".join(
+            "" if u is None else repr(float(u)) for u in nums) + f",{cls}\n")
+
+    for i, (x, v) in enumerate(engine_starts(dom, *counts)):
+        traj = eng.forward_cycles(tb.PhaseState(x, v), length)
+        for e in traj.events:
+            row(i, "bounce", e.k, e.t, e.x, e.tau, e.phi, e.v_out,
+                e.normal_dot, e.graze.value)
+        end = traj.end_state
+        row(i, "end", len(traj.events), end.t, end.x, None, traj.phi_end,
+            end.v, None, traj.status.value)
+    return "".join(rows)
 
 
 def run_case(config, cmd):
@@ -224,6 +306,10 @@ def rewrite():
     for name in TRACERS:
         _write(f"tracer {name}", "tracer", tracer_path(name),
                run_tracer(name))
+    (HERE / "engine").mkdir(exist_ok=True)
+    for name in ENGINES:
+        _write(f"engine {name}", "engine", engine_path(name),
+               run_engine(name))
 
 
 if __name__ == "__main__":

@@ -531,7 +531,9 @@ def _never(*args, **kwargs):
     ([0.01], ("bogus",), None),
     ([0.01], ("angular-momentum",), None),
     ([0.01], ("angular-momentum",), 0.0),   # outer region: no inflection
-], ids=["negative", "nan", "unknown-ring", "no-tau-ref", "outer-tau-ref"])
+    ([], (), None),     # was traced in full, then returned no row
+], ids=["negative", "nan", "unknown-ring", "no-tau-ref", "outer-tau-ref",
+        "empty"])
 def test_badset_scan_checks_rows_before_tracing(circle_engine, monkeypatch,
                                                 deltas, ring_kinds, tau_ref):
     monkeypatch.setattr(analysis, "_trace_min_graze", _never)

@@ -167,14 +167,20 @@ BADSET_ARGV = ["badset", "--x", "2,0,0", "--samples", "8", "--length", "1"]
     ({"simulate": {"x": ["2", 0.0, 0.0], "v": [1.0, 0.0, 0.0]}},
      ["simulate"]),
     ({"badset": {"eps": [0.1, "0.2"]}}, BADSET_ARGV),
+    ({"badset": {"eps": []}}, BADSET_ARGV),
+    ({"recurrence_check": {"x": [2.0, 0.0, 0.0], "v": [0.1, 0.9, 0.2],
+                           "inner_only": "false"}}, ["recurrence-check"]),
+    ({"recurrence_check": {"x": [2.0, 0.0, 0.0], "v": [0.1, 0.9, 0.2],
+                           "inner_only": 0}}, ["recurrence-check"]),
 ], ids=["string-tolerance", "string-radius", "null-count", "list-cap",
         "boolean-seed", "string-semi-axis", "boolean-radius",
         "infinite-radius", "zero-cap", "boolean-cap", "negative-cap",
         "threshold-above-one", "fractional-count", "string-coordinate",
-        "string-eps"])
+        "string-eps", "empty-eps", "string-flag", "integer-flag"])
 def test_wrong_json_type_exit_code(tmp_path, capsys, cfg, argv):
-    # each of these ended in a traceback, was accepted, or (a radius of
-    # true) exited 2 as a numeric failure
+    # each of these ended in a traceback, was accepted (an empty eps list
+    # traced every sample, then wrote no row), or (a radius of true) exited
+    # 2 as a numeric failure
     code, text = run(tmp_path, cfg, argv)
     assert code == 1
     assert text == ""
@@ -237,6 +243,23 @@ def test_recurrence_check_reads_z_h_band(tmp_path):
         rows.append(len(text.strip().split("\n")) - 2)
     assert rows[0] > 0
     assert rows[1] == 0
+
+
+def test_recurrence_check_inner_only_flag(tmp_path):
+    # an orbit creeping in the outer region: inner_only keeps none of its
+    # bounces, and the string "false" was read as true
+    dom = tb.CircleTorusDomain()
+    v = (np.cos(0.05) * dom.phi_hat(0.0)
+         - np.sin(0.05) * dom.outward_normal(0.3, 0.0))
+    block = {"x": dom.sigma(0.3, 0.0).tolist(), "v": v.tolist(),
+             "length": 10.0, "gate": 0.5}
+    rows = {}
+    for flag in (True, False):
+        code, text = run(tmp_path, {"recurrence_check": dict(
+            block, inner_only=flag)}, ["recurrence-check"])
+        assert code == 0
+        rows[flag] = len(text.strip().split("\n")) - 2
+    assert rows[False] > rows[True]
 
 
 def test_jacobian_cli(tmp_path):

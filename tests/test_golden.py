@@ -1,8 +1,9 @@
-"""Fresh command-line outputs and tracer arrays against the golden corpus
-in tests/golden/.
+"""Fresh command-line outputs, tracer arrays and engine events against the
+golden corpus in tests/golden/.
 
-The circle config and the quadric's tracer arrays must reproduce their
-files byte for byte.  The ellipse config and the other tracer arrays are
+The circle config and the quadric's tracer arrays and engine events must
+reproduce their files byte for byte.  The ellipse config and the other
+tracer arrays and engine events are
 compared field by field: each numeric field may move by at most its bound
 below (0 where none is given), every other field not at all.
 A change made on purpose is recorded by rewriting the corpus with
@@ -15,8 +16,9 @@ import math
 
 import pytest
 
-from golden.corpus import (COMMANDS, TRACERS, changes, golden_path, report,
-                           run_case, run_tracer, tracer_path)
+from golden.corpus import (COMMANDS, ENGINES, TRACERS, changes, engine_path,
+                           golden_path, report, run_case, run_engine,
+                           run_tracer, tracer_path)
 
 FIELD_BOUNDS = {
     **dict.fromkeys(["simulate:bounce." + k for k in (
@@ -35,6 +37,9 @@ FIELD_BOUNDS = {
     "recurrence-check:r1": 1e-6,
     "recurrence-check:r2": 1e-6,
     "tracer:min_nd": 1e-12,
+    **dict.fromkeys(["engine:" + k for k in (
+        "t", "x", "y", "z", "tau", "phi", "vx", "vy", "vz", "normal_dot")],
+        1e-9),
 }
 
 
@@ -54,16 +59,26 @@ def test_ellipse_outputs_within_field_bounds(cmd):
     assert not over, f"fields beyond their bounds: {over}"
 
 
-@pytest.mark.parametrize("name", TRACERS)
-def test_tracer_arrays_are_golden(name):
-    text = run_tracer(name)
-    want = tracer_path(name).read_text()
-    if TRACERS[name][0] == "quadric":
+def _check_golden(cmd, kind, want, text):
+    """Byte for byte on the quadric, within FIELD_BOUNDS elsewhere."""
+    if kind == "quadric":
         assert text == want
         return
-    moved = changes("tracer", want, text)
+    moved = changes(cmd, want, text)
     over = {k: d for k, d in moved.items() if d > FIELD_BOUNDS.get(k, 0.0)}
     assert not over, f"fields beyond their bounds: {over}"
+
+
+@pytest.mark.parametrize("name", TRACERS)
+def test_tracer_arrays_are_golden(name):
+    _check_golden("tracer", TRACERS[name][0], tracer_path(name).read_text(),
+                  run_tracer(name))
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_engine_events_are_golden(name):
+    _check_golden("engine", ENGINES[name][0], engine_path(name).read_text(),
+                  run_engine(name))
 
 
 def test_nan_fields_compare_as_values():
@@ -90,3 +105,13 @@ def test_report_counts_changed_rows_of_text_fields():
     assert changes(cmd, old, new)["classify-boundary:class"] == float("inf")
     assert report(cmd, old, old) == []
     assert report(cmd, old, head) == ["classify-boundary:layout inf"]
+
+
+def test_one_ulp_moves_a_quadric_event_out_of_the_corpus():
+    want = engine_path("quadric-creep").read_text()
+    head, first, rest = want.split("\n", 2)
+    cells = first.split(",")
+    cells[3] = repr(math.nextafter(float(cells[3]), math.inf))
+    with pytest.raises(AssertionError):
+        _check_golden("engine", "quadric", want,
+                      "\n".join([head, ",".join(cells), rest]))
