@@ -12,9 +12,10 @@ import numpy as np
 
 from . import grazing
 from .domain import PointClass, ToroidalDomain, point_class
-from .engine import (DEFAULT_MAX_BOUNCES, XI_ROOT_TOL, BilliardEngine,
-                     PhaseState, Trajectory, TrajectoryStatus,
-                     angular_momentum, bounce_cap, graze_stop)
+from .engine import (DEFAULT_MAX_BOUNCES, XI_FLOOR, XI_ROOT_TOL,
+                     BilliardEngine, PhaseState, Trajectory,
+                     TrajectoryStatus, angular_momentum, bounce_cap,
+                     graze_stop)
 from .errors import DegenerateBasisError, NonSmoothPointError, NumericsError
 
 BADSET_CHUNK = 1024
@@ -186,33 +187,33 @@ def _sample_directions(seed, chunk_index, n):
 
 
 def _polish_exits(domain: ToroidalDomain, base, w, lo, hi):
-    """Roots s of xi(base + s w) in the brackets [lo, hi], one per ray.
+    """Roots s of xi(base + s w) in the brackets [lo, hi], one per ray of
+    unit direction w.
 
     The batched form of ``BilliardEngine._refine_root``: safeguarded Newton
     from the bracket midpoint, bisecting when a step leaves the bracket,
-    until |xi| <= XI_ROOT_TOL on each ray; only unconverged rays are
-    evaluated again.
+    until the Newton step is at most XI_ROOT_TOL or |xi| <= XI_FLOOR; only
+    unconverged rays, kept in compacted arrays, are evaluated again.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    s = 0.5 * (lo + hi)
+    l = np.array(lo, dtype=float)
+    h = np.array(hi, dtype=float)
+    s = 0.5 * (l + h)
     out = np.empty_like(s)
     act = np.arange(len(s))
     for _ in range(80):
-        p = base[act] + s[:, None] * w[act]
-        f, g = domain.xi_grad(p)
+        f, g = domain.xi_grad(base + s[:, None] * w)
         above = f > 0.0
-        hi[act] = np.where(above, s, hi[act])
-        lo[act] = np.where(above, lo[act], s)
-        slope = np.einsum("ij,ij->i", g, w[act])
+        h = np.where(above, s, h)
+        l = np.where(above, l, s)
+        slope = np.einsum("ij,ij->i", g, w)
         safe = np.where(slope != 0.0, slope, 1.0)
         s_new = np.where(slope != 0.0, s - f / safe, s)
-        l, h = lo[act], hi[act]
-        done = np.abs(f) <= XI_ROOT_TOL
+        done = np.abs(f) <= np.maximum(XI_ROOT_TOL * np.abs(slope), XI_FLOOR)
         out[act[done]] = np.where((l <= s_new) & (s_new <= h), s_new, s)[done]
         s_new = np.where((l < s_new) & (s_new < h), s_new, 0.5 * (l + h))
         keep = ~done
-        act, s = act[keep], s_new[keep]
+        act, s, l, h = act[keep], s_new[keep], l[keep], h[keep]
+        base, w = base[keep], w[keep]
         if not act.size:
             return out
     raise NumericsError(f"exit-time polish stalled at s = {s[0]:.6e}")

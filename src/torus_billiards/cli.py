@@ -29,7 +29,7 @@ from .curves import circle_generator, ellipse_generator
 from .domain import ToroidalDomain, CircleTorusDomain
 from .engine import (DEFAULT_MAX_BOUNCES, BilliardEngine, PhaseState,
                      trajectory_to_jsonl)
-from .errors import TorusBilliardsError
+from .errors import NonConformingCurveError, TorusBilliardsError
 from .orthochart import OrthoChart, identity_suite
 
 ENV_PREFIX = "TORUS_BILLIARDS_"
@@ -66,7 +66,7 @@ BLOCK_KEYS = {
     "simulate": {"x", "v", "t", "length", "direction"},
     "classify_boundary": {"n_tau", "n_theta", "phi"},
     "inflection_map": {"n_tau"},
-    "badset": {"x", "phi", "eps", "length", "samples"},
+    "badset": {"x", "eps", "length", "samples"},
     "jacobian": {"t", "x", "v", "s", "h"},
     "recurrence_check": {"x", "v", "length", "inner_only", "gate"},
     "coords_check": {"H", "R1", "R2"},
@@ -93,6 +93,9 @@ def _invalid(key, val):
         return None if type(val) is bool else "true or false"
     if key in ("n_tau", "n_theta", "samples", "max_bounces"):
         return None if type(val) is int and val >= 1 else "an integer >= 1"
+    if key == "gate":
+        ok = type(val) in (int, float) and 0 < val < math.inf
+        return None if ok else "a finite number > 0"
     ok = all(type(w) in (int, float) and math.isfinite(w)
              for w in (val if type(val) is list else [val]))
     return None if ok else "a finite number or a list of them"
@@ -140,15 +143,18 @@ def config_hash(cfg):
 
 
 def build_domain(cfg):
+    # a curve of the wrong shape is invalid input, not a numeric failure
     cur = cfg["curve"]
     kind = cur.get("kind")
-    if kind == "circle":
-        return CircleTorusDomain(R=cur.get("R", 2.0), r=cur.get("r", 1.0))
-    if kind == "ellipse":
-        prof = ellipse_generator(center=cur.get("center", 3.0),
-                                 semi_x=cur.get("semi_x", 2.0),
-                                 semi_z=cur.get("semi_z", 1.0))
-        return ToroidalDomain(prof)
+    try:
+        if kind == "circle":
+            return CircleTorusDomain(R=cur.get("R", 2.0), r=cur.get("r", 1.0))
+        if kind == "ellipse":
+            return ToroidalDomain(ellipse_generator(
+                center=cur.get("center", 3.0), semi_x=cur.get("semi_x", 2.0),
+                semi_z=cur.get("semi_z", 1.0)))
+    except NonConformingCurveError as e:
+        raise ValueError(f"curve: {e}") from e
     raise ConfigError(f"unknown curve kind {kind!r}")
 
 
@@ -252,8 +258,6 @@ def cmd_badset(cfg, args):
     block = dict(cfg.get("badset", {}))
     if args.x is not None:
         block["x"] = [float(c) for c in args.x.split(",")]
-    if args.phi is not None:
-        block["phi"] = args.phi
     if args.eps is not None:
         block["eps"] = [float(c) for c in args.eps.split(",")]
     if args.length is not None:
@@ -268,8 +272,8 @@ def cmd_badset(cfg, args):
     cfg = dict(cfg, badset=block)
     engine = build_engine(cfg)
     rows = analysis.badset_scan(
-        engine, np.asarray(block["x"], dtype=float),
-        float(block.get("phi", 0.0)), [float(d) for d in eps],
+        engine, np.asarray(block["x"], dtype=float), 0.0,
+        [float(d) for d in eps],
         float(block.get("length", 10.0)), int(block.get("samples", 1000)),
         cfg["seed"])
     lines = ["# " + json.dumps(meta_record(cfg), sort_keys=True),
@@ -365,7 +369,6 @@ def build_parser():
         sub.add_parser(name)
     pb = sub.add_parser("badset")
     pb.add_argument("--x", help="base point, comma separated")
-    pb.add_argument("--phi", type=float)
     pb.add_argument("--eps", help="grazing threshold(s), comma separated")
     pb.add_argument("--length", type=float)
     pb.add_argument("--samples", type=int)

@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grazing
-from .curves import brent_root
 from .domain import PointClass, ToroidalDomain, point_class, rotation_z
 from .errors import (GrazingAmbiguousError, NumericsError,
                      TrajectoryStoppedError)
 from .grazing import DEFAULT_GRAZE_THRESHOLD
 
 TWO_PI = 2.0 * np.pi
-XI_ROOT_TOL = 1e-12
+XI_ROOT_TOL = 1e-12     # longest last Newton step of an exit polish
+XI_FLOOR = 1e-14        # |xi| at its rounding: no step improves the root
 DEFAULT_MAX_BOUNCES = 10_000
 
 
@@ -152,10 +152,13 @@ class BilliardEngine:
     def _refine_root(self, x, v, lo, hi):
         """Root of xi along the ray in [lo, hi] (xi(lo) <= 0 < xi(hi)).
 
-        Safeguarded Newton: steps that leave the bracket fall back to
-        bisection, so convergence is guaranteed and typically quadratic.
+        Safeguarded Newton from the bracket midpoint: steps that leave the
+        bracket fall back to bisection.  It ends on a step along the ray of
+        at most XI_ROOT_TOL, or where |xi| <= XI_FLOOR; a stop on |xi| alone
+        would end up to |xi|/a off a wall met at |n.w| = a.
         """
         dom = self.domain
+        speed = math.sqrt(float(v @ v))
         s = 0.5 * (lo + hi)
         for _ in range(80):
             f, g = dom.xi_grad(x + s * v)
@@ -166,7 +169,7 @@ class BilliardEngine:
                 lo = s
             slope = float(np.dot(g, v))
             s_new = s - f / slope if slope != 0.0 else s
-            if abs(f) <= XI_ROOT_TOL:
+            if abs(f) <= max(XI_ROOT_TOL * abs(slope) / speed, XI_FLOOR):
                 return s_new if lo <= s_new <= hi else s
             if not lo < s_new < hi:
                 s_new = 0.5 * (lo + hi)
@@ -182,11 +185,8 @@ class BilliardEngine:
         lie whole march steps from x, the last one clipped to max_s, and
         reach at most one step past the domain's diameter, where a ray with
         no exit raises NumericsError.  A boundary start reads 0, and a
-        bracket from it divides out that known root, so near-tangential
-        short chords are still resolved.
+        bracket from it is polished like any other.
         """
-        if max_s <= 0.0:
-            return None
         dom = self.domain
         speed = math.sqrt(float(v @ v))
         if (n is not None
@@ -210,29 +210,12 @@ class BilliardEngine:
         if near.size:
             has, lo, hi = dom.blip_brackets(x, v, s[near], s[near + 1])
         if near.size and has.any():
-            lo, hi = float(lo[0]), float(hi[0])
-        elif pos.size:
-            lo, hi = float(s[k - 1]), float(s[k])
-        elif s[-1] < max_s:
+            return self._refine_root(x, v, float(lo[0]), float(hi[0]))
+        if pos.size:
+            return self._refine_root(x, v, float(s[k - 1]), float(s[k]))
+        if s[-1] < max_s:
             raise NumericsError("no exit within the domain's diameter")
-        else:
-            return None
-        if n is None or lo > 0.0:
-            return self._refine_root(x, v, lo, hi)
-        # the bracket starts at the known root s = 0: divide it out and
-        # walk the lower bracket end down until the sign is reliable
-        g = lambda t: float(dom.xi(x + t * v)) / t
-        sl = hi / 4.0
-        while sl > 1e-15 * hi and g(sl) >= 0.0:
-            sl /= 4.0
-        if g(sl) >= 0.0:
-            raise GrazingAmbiguousError(
-                "tangential departure could not be bracketed")
-        s_root = brent_root(g, sl, hi, 1e-15, 1e-15)
-        lo = max(s_root - 1e-9 * hi, sl)
-        if float(dom.xi(x + lo * v)) < 0.0:
-            return self._refine_root(x, v, lo, hi)
-        return s_root
+        return None
 
     def _start_normal(self, x, what):
         """Unit normal at a start position x on the boundary, None inside;
@@ -418,20 +401,17 @@ class BilliardEngine:
         Rm = rotation_z(phi_unwrapped)
         xs = Rm @ x
         vs = Rm @ v
+        # phi' = omega / rho^2 >= omega / r_max^2: one budget is enough
         speed = float(np.linalg.norm(v))
         budget = 1.5 * abs(phi_unwrapped) * self.domain.r_max ** 2 \
             / float(angular_momentum(x, v)) * speed + 4.0 * self.domain.r_max
-        for _ in range(4):
-            traj = self.forward_cycles(PhaseState(xs, vs, 0.0), budget,
-                                       phi0=phi_unwrapped)
-            if traj.phi_end >= 0.0:
-                break
+        traj = self.forward_cycles(PhaseState(xs, vs, 0.0), budget,
+                                   phi0=phi_unwrapped)
+        if traj.phi_end < 0.0:
             if traj.status is not TrajectoryStatus.COMPLETED:
                 raise TrajectoryStoppedError(
                     f"trajectory terminated with status {traj.status.value} "
                     "before reaching azimuth 0")
-            budget *= 2.0
-        else:
             raise NumericsError("azimuth 0 not reached within the time budget")
         segs, _, _ = self._segments(traj)
         phis = [traj.phi0] + [ev.phi for ev in traj.events] + [traj.phi_end]

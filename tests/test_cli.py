@@ -172,15 +172,26 @@ BADSET_ARGV = ["badset", "--x", "2,0,0", "--samples", "8", "--length", "1"]
                            "inner_only": "false"}}, ["recurrence-check"]),
     ({"recurrence_check": {"x": [2.0, 0.0, 0.0], "v": [0.1, 0.9, 0.2],
                            "inner_only": 0}}, ["recurrence-check"]),
+    ({"recurrence_check": {"x": [2.0, 0.0, 0.0], "v": [0.1, 0.9, 0.2],
+                           "gate": 0}}, ["recurrence-check"]),
+    ({"recurrence_check": {"x": [2.0, 0.0, 0.0], "v": [0.1, 0.9, 0.2],
+                           "gate": -1}}, ["recurrence-check"]),
+    ({"curve": {"kind": "circle", "R": 1.0, "r": 2.0}}, ["inflection-map"]),
+    ({"curve": {"kind": "circle", "r": -1}}, ["inflection-map"]),
+    ({"curve": {"kind": "ellipse", "center": 0.5}}, ["inflection-map"]),
+    ({"badset": {"phi": 0.0}}, BADSET_ARGV),
 ], ids=["string-tolerance", "string-radius", "null-count", "list-cap",
         "boolean-seed", "string-semi-axis", "boolean-radius",
         "infinite-radius", "zero-cap", "boolean-cap", "negative-cap",
         "threshold-above-one", "fractional-count", "string-coordinate",
-        "string-eps", "empty-eps", "string-flag", "integer-flag"])
+        "string-eps", "empty-eps", "string-flag", "integer-flag",
+        "zero-gate", "negative-gate", "tube-past-axis", "negative-radius",
+        "ellipse-past-axis", "badset-phi"])
 def test_wrong_json_type_exit_code(tmp_path, capsys, cfg, argv):
     # each of these ended in a traceback, was accepted (an empty eps list
-    # traced every sample, then wrote no row), or (a radius of true) exited
-    # 2 as a numeric failure
+    # traced every sample, then wrote no row; a gate of 0 wrote no row; a
+    # badset phi was never read), or (a radius of true, a curve of the
+    # wrong shape) exited 2 as a numeric failure
     code, text = run(tmp_path, cfg, argv)
     assert code == 1
     assert text == ""

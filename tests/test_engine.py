@@ -10,6 +10,7 @@ from torus_billiards import analysis
 from torus_billiards.engine import TrajectoryStatus, _wrap_pi
 
 from conftest import random_interior_states
+from oracles import bisect_exits
 
 TWO_PI = 2.0 * np.pi
 SQRT3 = np.sqrt(3.0)
@@ -66,6 +67,51 @@ def test_exit_near_tangential_chord(circle_domain, circle_engine):
     t, xb = circle_engine.forward_exit(x, v)
     assert 0.0 < t < circle_domain.march_step
     assert abs(float(dom.xi(xb))) < 1e-10
+
+
+def _wall_chords(domain, rng, n):
+    """(x, w, a, l0) of n wall chords on the convex outer side: a start x on
+    the boundary, a unit direction w at |n.w| = a below the tangent plane,
+    a log-uniform in [1e-7, 1e-3], and the leading-order chord 2a/kappa_n."""
+    m = 4 * n
+    tau = domain.profile.wrap(rng.uniform(-0.8, 0.8, m)
+                              * domain.markers.tau1_star)
+    phi = rng.uniform(0.0, TWO_PI, m)
+    theta = rng.uniform(0.0, TWO_PI, m)
+    a = 10.0 ** rng.uniform(-7.0, -3.0, m)
+    k1, k2 = tb.principal_curvatures(domain, tau)
+    kn = k1 * np.cos(theta) ** 2 + k2 * np.sin(theta) ** 2
+    u = (np.cos(theta)[:, None] * domain.phi_hat(phi)
+         + np.sin(theta)[:, None] * domain.meridian_tangent(tau, phi))
+    w = (np.sqrt(1.0 - a * a)[:, None] * u
+         - a[:, None] * domain.outward_normal(tau, phi))
+    keep = np.flatnonzero(kn > 0.1)[:n]
+    assert keep.size == n
+    return (domain.sigma(tau, phi)[keep], w[keep], a[keep],
+            2.0 * a[keep] / kn[keep])
+
+
+@pytest.mark.parametrize("fixture", ["circle_domain", "generic_circle_domain",
+                                     "ellipse_domain"])
+def test_wall_chord_exits_to_rounding(request, fixture):
+    """Both polishes end a wall chord within 8 eps_xi / a of the
+    bisection root, eps_xi being xi's rounding at boundary points; a stop
+    on |xi| <= XI_ROOT_TOL alone may end XI_ROOT_TOL / a away."""
+    domain = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(5)
+    tau = rng.uniform(*domain.profile.period, 1024)
+    eps_xi = np.abs(domain.xi(domain.sigma(tau, rng.uniform(0.0, TWO_PI,
+                                                            1024)))).max()
+    bound = 8.0 * eps_xi
+    x, w, a, l0 = _wall_chords(domain, rng, 40)
+    assert (domain.xi(x + 0.5 * l0[:, None] * w) < 0.0).all()
+    ref = bisect_exits(domain, x, w, 0.5 * l0, 1.5 * l0, n_bisect=80)
+    engine = tb.BilliardEngine(domain)
+    got = np.array([engine.backward_exit(p, -d)[0] for p, d in zip(x, w)])
+    assert (np.abs(got - ref) <= bound / a).all()
+    tracer = analysis._polish_exits(domain, x, w, np.zeros(len(a)),
+                                    np.full(len(a), domain.march_step))
+    assert (np.abs(tracer - ref) <= bound / a).all()
 
 
 # -- conservation and statuses ---------------------------------------------

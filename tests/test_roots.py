@@ -14,11 +14,9 @@ import pytest
 from scipy.optimize import brentq
 
 import torus_billiards as tb
-from torus_billiards import curves, engine
+from torus_billiards import curves
 from torus_billiards.curves import brent_root
 from torus_billiards.errors import NumericsError
-
-from golden.corpus import engine_starts
 
 
 def _same(got, want):
@@ -70,18 +68,6 @@ def test_matches_scipy_bit_for_bit(name, xtol, rtol):
     assert _same(brent_root(f, a, b, xtol, rtol), want)
 
 
-def test_matches_scipy_on_the_divide_out_solve(circle_domain, monkeypatch):
-    """Every exit of a creeping orbit from a boundary point divides the
-    known root s = 0 out of xi along the ray and solves the quotient."""
-    calls = []
-    monkeypatch.setattr(engine, "brent_root", _both(calls))
-    eng = tb.BilliardEngine(circle_domain)
-    for x, v in engine_starts(circle_domain, 0, 0, 3):
-        eng.forward_cycles(tb.PhaseState(x, v), 1.0)
-    assert len(calls) > 50
-    assert all(_same(got, want) for got, want in calls)
-
-
 def test_matches_scipy_on_the_ellipse_markers(ellipse_domain, monkeypatch):
     """The zeros of gamma1', gamma2' and h on the arc-length ellipse."""
     calls = []
@@ -111,20 +97,16 @@ def test_raises_numerics_error_where_scipy_raises(f, a, b, message):
 
 def test_scipy_is_loaded_only_by_arc_length_generators(tmp_path):
     """A fresh interpreter builds the quadric and the generic circle,
-    runs a quadric creeping orbit through the divide-out solve and a CLI
-    badset on the default config with no scipy module loaded; building an
-    ellipse then loads scipy."""
+    runs a quadric creeping orbit and a CLI badset on the default config
+    with no scipy module loaded; building an ellipse then loads scipy."""
     script = f"""
 import json, math, sys
 import torus_billiards as tb
-from torus_billiards import cli, engine
+from torus_billiards import cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-calls = []
-root = engine.brent_root
-engine.brent_root = lambda *args: calls.append(args) or root(*args)
 dom = tb.CircleTorusDomain()
 tb.ToroidalDomain(tb.circle_generator())
 n = dom.outward_normal(0.3, 0.0)
@@ -135,8 +117,8 @@ code = cli.main(["--out", {str(tmp_path / "badset.txt")!r}, "badset",
                  "--x", "2,0,0", "--samples", "64", "--length", "2"])
 before = scipy_modules()
 tb.ellipse_generator()
-print(json.dumps({{"divide_out": len(calls), "bounces": bounces,
-                  "code": code, "before": before, "after": scipy_modules()}}))
+print(json.dumps({{"bounces": bounces, "code": code, "before": before,
+                  "after": scipy_modules()}}))
 """
     src = str(Path(tb.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -147,6 +129,6 @@ print(json.dumps({{"divide_out": len(calls), "bounces": bounces,
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["code"] == 0
-    assert out["divide_out"] >= out["bounces"] - 1 > 0
+    assert out["bounces"] > 1
     assert out["before"] == []
     assert "scipy.integrate" in out["after"]
