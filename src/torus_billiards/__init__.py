@@ -16,7 +16,7 @@ from .curves import (ProfileCurve, CurveMarkers, ParametricCurve,
                      find_markers, h_value, zero_set_h,
                      reparametrize_arclength)
 from .domain import (ToroidalDomain, CircleTorusDomain, PointClass,
-                     SurfacePoint, rotation_z)
+                     rotation_z)
 from .engine import (BilliardEngine, PhaseState, BounceEvent, Trajectory,
                      TrajectoryStatus, angular_momentum,
                      signed_angular_momentum, trajectory_to_jsonl)

@@ -259,8 +259,8 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
         bounces[ci] += 1
         left[ci] -= sb
         wr = wv - 2.0 * np.einsum("ij,ij->i", nrm, wv)[:, None] * nrm
-        # nudge off the boundary so the next march step starts inside
-        start[ci] = xb + 1e-9 * wr
+        # the next chord starts at the bounce point, as the engine's does
+        start[ci] = xb
         j[ci] = 0.0
         xi_prev[ci] = 0.0
         w[ci] = wr

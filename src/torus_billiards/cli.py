@@ -8,8 +8,8 @@ Every emitted file begins with a metadata record carrying the tool version,
 a hash of the effective configuration and the seed, so identical inputs
 produce byte-identical outputs.
 
-Exit codes: 0 success, 1 configuration error or invalid input, 2 numeric
-failure, 3 identity-suite failure.
+Exit codes: 0 success, 1 configuration error, usage error or invalid input,
+2 numeric failure, 3 identity-suite failure.
 """
 
 from __future__ import annotations
@@ -402,8 +402,10 @@ def _apply_env(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:   # argparse printed the help or a usage error
+        return 1 if e.code else 0
     try:
         _apply_env(args)
         cfg = load_config(args.config)

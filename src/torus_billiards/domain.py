@@ -45,18 +45,15 @@ def point_class(xi) -> PointClass:
     return PointClass.INSIDE if v < 0 else PointClass.OUTSIDE
 
 
-class SurfacePoint:
-    """Boundary point carrying (tau, unwrapped phi, cartesian position)."""
-
-    __slots__ = ("tau", "phi", "xyz")
-
-    def __init__(self, tau, phi, xyz):
-        self.tau = float(tau)
-        self.phi = float(phi)
-        self.xyz = np.asarray(xyz, dtype=float)
-
-    def __repr__(self):
-        return f"SurfacePoint(tau={self.tau:.6g}, phi={self.phi:.6g})"
+def bounce_foot(domain, p):
+    """(tau, outward normal) of a bounce point p from one foot solve;
+    NumericsError unless p lies on the boundary (|sigma(tau, phi) - p| is
+    |xi| for the foot point in p's meridian)."""
+    xi, tau, n = domain.foot(p)
+    if point_class(xi) is not PointClass.BOUNDARY:
+        raise NumericsError(f"bounce point off the boundary: xi = "
+                            f"{float(xi):.3e} at p = {np.asarray(p).tolist()}")
+    return float(tau), n
 
 
 def rotation_z(dphi):
@@ -135,7 +132,7 @@ class ToroidalDomain:
 
     # -- indicator --------------------------------------------------------
 
-    def nearest_parameter(self, rho, z, n_newton=8):
+    def nearest_parameter(self, rho, z):
         """Generator parameter of the nearest curve point to (rho, z)."""
         rho = np.asarray(rho, dtype=float)
         z = np.asarray(z, dtype=float)
@@ -149,9 +146,9 @@ class ToroidalDomain:
               + (z_f[:, None] - self._win_z[c]) ** 2)
         tau = self._win_tau[c, np.argmin(d2, axis=1)]
         # a point leaves once its iterate is a fixed point of its own Newton
-        # map, so the result equals that of n_newton steps for every point
+        # map, so the result equals that of 8 steps for every point
         act = np.arange(tau.size)
-        for _ in range(n_newton):
+        for _ in range(8):
             t = tau[act]
             g = self.profile.eval(t)
             d1 = self.profile.deriv1(t)
@@ -168,8 +165,8 @@ class ToroidalDomain:
         return self.profile.wrap(tau).reshape(shape)
 
     def _foot(self, rho, z):
-        """(xi, d1) of (rho, z): its signed distance to the generator and
-        the unit tangent at its nearest generator point."""
+        """(xi, tau, d1) of (rho, z): its signed distance to the generator,
+        and the parameter of and unit tangent at its nearest point on it."""
         tau = self.nearest_parameter(rho, z)
         g = self.profile.eval(tau)
         d1 = self.profile.deriv1(tau)
@@ -178,7 +175,7 @@ class ToroidalDomain:
         # outward normal of the generator is (gamma2', -gamma1')
         dist = np.hypot(ex, ez)
         return np.where(ex * d1[..., 1] - ez * d1[..., 0] >= 0.0, dist,
-                        -dist), d1
+                        -dist), tau, d1
 
     def xi(self, p):
         """Signed distance to the generator in the (rho, z) half-plane."""
@@ -227,17 +224,22 @@ class ToroidalDomain:
         return (has, np.where(q > 0, fine[has, q - 1], lo[has]),
                 fine[has, q])
 
-    def xi_grad(self, p):
-        """(xi, grad_xi) of p from one nearest-point solve; the gradient is
-        the outward normal at the nearest boundary point, turned to the
-        azimuth of p."""
+    def foot(self, p):
+        """(xi, tau, grad_xi) of p from one nearest-point solve: tau is the
+        generator parameter of the nearest boundary point, and the gradient
+        is the outward normal there, turned to the azimuth of p."""
         p = np.asarray(p, dtype=float)
         rho = np.hypot(p[..., 0], p[..., 1])
-        xi, d1 = self._foot(rho, p[..., 2])
+        xi, tau, d1 = self._foot(rho, p[..., 2])
         rho_safe = np.where(rho == 0, 1.0, rho)
-        return xi, np.stack([d1[..., 1] * p[..., 0] / rho_safe,
-                             d1[..., 1] * p[..., 1] / rho_safe,
-                             -d1[..., 0] + np.zeros_like(rho)], axis=-1)
+        return xi, tau, np.stack([d1[..., 1] * p[..., 0] / rho_safe,
+                                  d1[..., 1] * p[..., 1] / rho_safe,
+                                  -d1[..., 0] + np.zeros_like(rho)], axis=-1)
+
+    def xi_grad(self, p):
+        """(xi, grad_xi) of p: foot without tau."""
+        xi, _, g = self.foot(p)
+        return xi, g
 
     def grad_xi(self, p):
         return self.xi_grad(p)[1]
@@ -246,25 +248,6 @@ class ToroidalDomain:
 
     def classify_point(self, p) -> PointClass:
         return point_class(self.xi(p))
-
-    def boundary_params(self, p, phi_hint=0.0, tol=1e-9) -> SurfacePoint:
-        """Recover (tau, unwrapped phi) of a point near the boundary.
-
-        phi is placed on the 2-pi branch nearest phi_hint.
-        """
-        p = np.asarray(p, dtype=float)
-        rho = float(np.hypot(p[0], p[1]))
-        z = float(p[2])
-        tau = float(self.nearest_parameter(rho, z, n_newton=12))
-        raw_phi = float(np.arctan2(p[1], p[0]))
-        phi = raw_phi + TWO_PI * np.round((phi_hint - raw_phi) / TWO_PI)
-        sp = SurfacePoint(tau, phi, self.sigma(tau, phi))
-        resid = float(np.linalg.norm(sp.xyz - p))
-        if resid > tol:
-            raise NumericsError(
-                f"boundary_params did not converge: residual {resid:.3e} "
-                f"at p = {p.tolist()}")
-        return sp
 
     # -- metadata ---------------------------------------------------------
 
@@ -284,14 +267,6 @@ class CircleTorusDomain(ToroidalDomain):
         self.r = float(r)
         super().__init__(circle_generator(R, r))
 
-    def sigma(self, tau, phi):
-        if np.isscalar(tau) and np.isscalar(phi):
-            ang = tau / self.r
-            g1 = self.R + self.r * math.cos(ang)
-            return np.array([g1 * math.cos(phi), g1 * math.sin(phi),
-                             self.r * math.sin(ang)])
-        return super().sigma(tau, phi)
-
     def outward_normal(self, tau, phi):
         if np.isscalar(tau) and np.isscalar(phi):
             ang = tau / self.r
@@ -300,8 +275,8 @@ class CircleTorusDomain(ToroidalDomain):
                              math.sin(ang)])
         return super().outward_normal(tau, phi)
 
-    def nearest_parameter(self, rho, z, n_newton=None):
-        if np.isscalar(rho) and np.isscalar(z):
+    def nearest_parameter(self, rho, z):
+        if np.ndim(rho) == 0 and np.ndim(z) == 0:
             return (self.r * math.atan2(z, rho - self.R)) % (TWO_PI * self.r)
         ang = np.arctan2(np.asarray(z, dtype=float),
                          np.asarray(rho, dtype=float) - self.R)
@@ -334,3 +309,10 @@ class CircleTorusDomain(ToroidalDomain):
         c = np.where(d == 0, 1.0, ex / d_safe) / np.where(rho == 0, 1.0, rho)
         return d - self.r, np.stack([c * p[..., 0], c * p[..., 1],
                                      p[..., 2] / d_safe], axis=-1)
+
+    def foot(self, p):
+        """(xi, tau, grad_xi) in closed form."""
+        xi, g = self.xi_grad(p)
+        p = np.asarray(p, dtype=float)
+        return xi, self.nearest_parameter(np.hypot(p[..., 0], p[..., 1]),
+                                          p[..., 2]), g

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grazing
-from .domain import PointClass, ToroidalDomain, point_class, rotation_z
+from .domain import (PointClass, ToroidalDomain, bounce_foot, point_class,
+                     rotation_z)
 from .errors import (GrazingAmbiguousError, NumericsError,
                      TrajectoryStoppedError)
 from .grazing import DEFAULT_GRAZE_THRESHOLD
@@ -85,9 +86,6 @@ class Trajectory:
     winding: float = 0.0
     status: TrajectoryStatus = TrajectoryStatus.COMPLETED
     diagnostics: dict = field(default_factory=dict)
-
-    def bounce_count(self):
-        return len(self.events)
 
 
 def signed_angular_momentum(x, v):
@@ -286,22 +284,20 @@ class BilliardEngine:
             if s * speed0 > remaining:
                 remaining = s * speed0
             x_b = x + s * ray_v
-            dphi = float(_wrap_pi(np.arctan2(x_b[1], x_b[0])
+            phi += float(_wrap_pi(np.arctan2(x_b[1], x_b[0])
                                   - np.arctan2(x[1], x[0])))
-            phi += dphi
-            sp = dom.boundary_params(x_b, phi_hint=phi)
-            n = dom.outward_normal(sp.tau, sp.phi)
+            tau, n = bounce_foot(dom, x_b)
             dn = float(np.dot(n, v))
             nd = dn / speed0
             remaining -= s * speed0
             t += direction * s
             graze_cls, stop = grazing.GrazingClass.NON_GRAZING, None
             if abs(nd) < graze:
-                graze_cls, stop = graze_stop(dom, sp.xyz, v, direction, graze)
+                graze_cls, stop = graze_stop(dom, x_b, v, direction, graze)
             v_out = v if stop is not None else v - 2.0 * dn * n
             k += 1
             traj.events.append(BounceEvent(
-                k=k, t=t, x=x_b, tau=sp.tau, phi=phi,
+                k=k, t=t, x=x_b, tau=tau, phi=phi,
                 v_in=v.copy(), v_out=v_out, normal_dot=nd, graze=graze_cls))
             drift_v = max(drift_v,
                           abs(math.sqrt(float(v_out @ v_out)) - speed0) / speed0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import h_value
-from .domain import ToroidalDomain
+from .domain import ToroidalDomain, bounce_foot
 from .errors import GrazingAmbiguousError, UndefinedInflectionError
 
 
@@ -110,18 +110,19 @@ def classify(domain: ToroidalDomain, x, v,
     section's Taylor model at +-s0, s0 = LADDER_BASE_FRACTION / kappa_max,
     or, on a flat phase where both model terms at s0 lie below the quartic
     scale kappa_max^3 s0^4 = LADDER_BASE_FRACTION^3 s0, of xi at x +- s0 u."""
-    sp = domain.boundary_params(x, tol=1e-6)
+    tau, n = bounce_foot(domain, x)
     prof = domain.profile
-    t1, t2 = prof.deriv1(sp.tau).tolist()
-    a1, a2 = prof.deriv2(sp.tau).tolist()
-    g1 = float(prof.gamma1(sp.tau))
-    c, s = math.cos(sp.phi), math.sin(sp.phi)
+    t1, t2 = prof.deriv1(tau).tolist()
+    a1, a2 = prof.deriv2(tau).tolist()
+    g1 = float(prof.gamma1(tau))
+    phi = math.atan2(x[1], x[0])
+    c, s = math.cos(phi), math.sin(phi)
     vx, vy, vz = np.asarray(v, dtype=float).tolist()
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     if not 0.0 < speed < math.inf:
         raise ValueError(f"velocity must be finite and nonzero, got {v!r}")
     vr = c * vx + s * vy
-    nd = (t2 * vr - t1 * vz) / speed
+    nd = float(np.dot(n, (vx, vy, vz))) / speed
     if abs(nd) >= graze_threshold:
         return GrazingClass.NON_GRAZING
     # v's components along the azimuthal and the meridian unit tangents
@@ -129,7 +130,7 @@ def classify(domain: ToroidalDomain, x, v,
     cos_t, sin_t = va / math.hypot(va, vm), vm / math.hypot(va, vm)
     k1, k2 = t2 / g1, math.hypot(a1, a2)
     kn, c3 = _euler_taylor(k1, k2, cos_t * cos_t, sin_t, (a2 - k1 * t1) / g1,
-                           float(prof.curvature_prime(sp.tau)))
+                           float(prof.curvature_prime(tau)))
     s0 = LADDER_BASE_FRACTION / max(abs(k1), k2)
     fwd, bwd = kn * s0 * s0 / 2.0, c3 * s0 ** 3 / 6.0
     if max(abs(fwd), abs(bwd)) >= LADDER_BASE_FRACTION ** 3 * s0:

@@ -88,8 +88,8 @@ TRACERS = {
 }
 
 # name: (domain, length, interior, boundary and creeping starts) of the
-# engine's forward orbits, with the starts of seed 0; every bounce of a
-# creeping orbit solves for its exit with the known root s = 0 divided out
+# engine's forward orbits, with the starts of seed 0; every chord of a
+# creeping orbit starts at a bounce point and ends within one march step
 ENGINES = {
     "quadric": ("quadric", 10.0, 20, 5, 0),
     "quadric-creep": ("quadric", 3.0, 0, 0, 6),

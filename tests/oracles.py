@@ -8,6 +8,7 @@ with ``monkeypatch.setattr``.
 import numpy as np
 from scipy.optimize import brentq
 
+from torus_billiards.domain import bounce_foot
 from torus_billiards.errors import GrazingAmbiguousError
 from torus_billiards.grazing import (DEFAULT_GRAZE_THRESHOLD,
                                      LADDER_BASE_FRACTION, GrazingClass,
@@ -147,14 +148,13 @@ def classify_by_ladder(domain, x, v, graze_threshold=DEFAULT_GRAZE_THRESHOLD):
     tangential part u of v (stands in for ``grazing.classify``)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    sp = domain.boundary_params(x, tol=1e-6)
-    n = domain.outward_normal(sp.tau, sp.phi)
+    tau, n = bounce_foot(domain, x)
     vhat = v / np.linalg.norm(v)
     nd = float(np.dot(n, vhat))
     if abs(nd) >= graze_threshold:
         return GrazingClass.NON_GRAZING
     u = vhat - nd * n
-    fwd_out, bwd_out = _sign_ladder(domain, x, u / np.linalg.norm(u), sp.tau)
+    fwd_out, bwd_out = _sign_ladder(domain, x, u / np.linalg.norm(u), tau)
     return {(True, True): GrazingClass.CONVEX,
             (False, False): GrazingClass.CONCAVE,
             (True, False): GrazingClass.INFLECTION_PLUS,

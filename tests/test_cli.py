@@ -12,8 +12,9 @@ SQRT3 = np.sqrt(3.0)
 
 
 def write_config(tmp_path, cfg, name="config.json"):
+    """Write cfg as JSON, or as it is if it is a string."""
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     return str(path)
 
 
@@ -180,24 +181,50 @@ BADSET_ARGV = ["badset", "--x", "2,0,0", "--samples", "8", "--length", "1"]
     ({"curve": {"kind": "circle", "r": -1}}, ["inflection-map"]),
     ({"curve": {"kind": "ellipse", "center": 0.5}}, ["inflection-map"]),
     ({"badset": {"phi": 0.0}}, BADSET_ARGV),
+    ({}, ["--config", "no-such-dir/config.json", "inflection-map"]),
+    ("{\"seed\": ", ["inflection-map"]),
+    ([{"seed": 1}], ["inflection-map"]),
+    ({}, ["--seed", "-1", "inflection-map"]),
+    ({}, ["--seed", str(2 ** 64), "inflection-map"]),
+    ({}, ["TORUS_BILLIARDS_SEED=abc", "inflection-map"]),
 ], ids=["string-tolerance", "string-radius", "null-count", "list-cap",
         "boolean-seed", "string-semi-axis", "boolean-radius",
         "infinite-radius", "zero-cap", "boolean-cap", "negative-cap",
         "threshold-above-one", "fractional-count", "string-coordinate",
         "string-eps", "empty-eps", "string-flag", "integer-flag",
         "zero-gate", "negative-gate", "tube-past-axis", "negative-radius",
-        "ellipse-past-axis", "badset-phi"])
-def test_wrong_json_type_exit_code(tmp_path, capsys, cfg, argv):
-    # each of these ended in a traceback, was accepted (an empty eps list
-    # traced every sample, then wrote no row; a gate of 0 wrote no row; a
-    # badset phi was never read), or (a radius of true, a curve of the
-    # wrong shape) exited 2 as a numeric failure
+        "ellipse-past-axis", "badset-phi", "missing-config",
+        "malformed-json", "list-root", "negative-seed-flag",
+        "seed-flag-past-64-bits", "string-seed-env"])
+def test_wrong_json_type_exit_code(tmp_path, monkeypatch, capsys, cfg, argv):
+    # each of the first 24 ended in a traceback, was accepted (an empty eps
+    # list traced every sample, then wrote no row; a gate of 0 wrote no
+    # row; a badset phi was never read), or (a radius of true, a curve of
+    # the wrong shape) exited 2 as a numeric failure; the rest are the
+    # config errors of an unreadable file, a bad seed flag and a bad
+    # environment value.  Leading NAME=value items set the environment.
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     code, text = run(tmp_path, cfg, argv)
     assert code == 1
     assert text == ""
     err = capsys.readouterr().err
     assert err.startswith(("config error: ", "invalid input: "))
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["badset", "--x", "2,0,0", "--samples", "abc"], 1),
+    (["no-such-command"], 1),
+    (["--help"], 0),
+    (["badset", "--help"], 0),
+], ids=["string-samples", "unknown-subcommand", "help", "subcommand-help"])
+def test_usage_exit_code(capsys, argv, want):
+    # a usage error exited 2, the code of a numeric failure
+    assert main(argv) == want
+    out = capsys.readouterr()
+    assert (out.err if want else out.out).startswith("usage: ")
 
 
 # -- scan subcommands ------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import torus_billiards as tb
-from torus_billiards.domain import PointClass
+from torus_billiards.domain import PointClass, bounce_foot
 
 from oracles import nearest_parameter_full_table, tube_hessian
 
@@ -137,28 +137,26 @@ def test_classify_point(circle_domain):
     assert circle_domain.classify_point([3.1, 0.0, 0.0]) is PointClass.OUTSIDE
 
 
-def test_boundary_params_roundtrip(circle_domain, generic_circle_domain):
+def test_foot_roundtrip(circle_domain, generic_circle_domain):
+    """foot at a boundary point gives xi = 0, its tau and its normal."""
     rng = np.random.default_rng(5)
     for dom in (circle_domain, generic_circle_domain):
         for _ in range(20):
             tau = rng.uniform(0, TWO_PI)
             phi = rng.uniform(-2 * TWO_PI, 2 * TWO_PI)
             x = dom.sigma(tau, phi)
-            sp = dom.boundary_params(x, phi_hint=phi)
-            assert sp.tau == pytest.approx(tau, abs=1e-8)
-            assert sp.phi == pytest.approx(phi, abs=1e-9)
-            assert np.allclose(sp.xyz, x, atol=1e-9)
+            xi, t, n = dom.foot(x)
+            assert abs(float(xi)) <= 1e-12
+            assert float(t) == pytest.approx(tau, abs=1e-8)
+            assert np.allclose(n, dom.outward_normal(tau, phi), atol=1e-12)
+            b_tau, b_n = bounce_foot(dom, x)
+            assert b_tau == float(t) and np.array_equal(b_n, n)
 
 
-def test_boundary_params_unwrapped_branch(circle_domain):
-    x = circle_domain.sigma(0.3, 0.4)
-    sp = circle_domain.boundary_params(x, phi_hint=0.4 + 3 * TWO_PI)
-    assert sp.phi == pytest.approx(0.4 + 3 * TWO_PI, abs=1e-9)
-
-
-def test_boundary_params_rejects_interior(circle_domain):
-    with pytest.raises(tb.NumericsError):
-        circle_domain.boundary_params([2.0, 0.0, 0.0])
+def test_bounce_foot_rejects_off_boundary(circle_domain):
+    for p in ([2.0, 0.0, 0.0], [3.0 + 2e-9, 0.0, 0.0]):
+        with pytest.raises(tb.NumericsError):
+            bounce_foot(circle_domain, p)
 
 
 def test_nearest_parameter_analytic_vs_newton(circle_domain,

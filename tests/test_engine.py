@@ -172,6 +172,30 @@ def test_boundary_start_reflects_in_place(circle_engine):
     assert len(traj.events) == 2  # in-place bounce then the inner wall
 
 
+@pytest.mark.parametrize("fixture", ["circle_domain", "generic_circle_domain",
+                                     "ellipse_domain"])
+def test_one_bounce_rule(request, fixture):
+    """Every bounce reads tau and its normal from the one foot solve, so an
+    event's v_out is reflect(x, v_in) bit for bit."""
+    domain = request.getfixturevalue(fixture)
+    eng = tb.BilliardEngine(domain, max_bounces=10)
+    rng = np.random.default_rng(23)
+    events = []
+    for _ in range(5):
+        tau, phi = rng.uniform(*domain.profile.period), rng.uniform(0, TWO_PI)
+        x = (domain.sigma(tau, phi)
+             - 0.3 * domain.outward_normal(tau, phi))
+        v = rng.standard_normal(3)
+        traj = eng.forward_cycles(tb.PhaseState(x, v), 12.0)
+        assert traj.status in (TrajectoryStatus.COMPLETED,
+                               TrajectoryStatus.MAX_BOUNCES_REACHED)
+        events += traj.events
+    assert len(events) >= 20
+    for ev in events:
+        assert np.array_equal(ev.v_out, eng.reflect(ev.x, ev.v_in))
+        assert ev.tau == float(domain.foot(ev.x)[1])
+
+
 @pytest.mark.parametrize("fixture", ["circle_domain",
                                      "generic_circle_domain"])
 def test_boundary_start_bounce_counts_against_cap(request, fixture):
