@@ -230,8 +230,14 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
     very statistic being measured, so the rays march on the engine's grid
     by the domain's march rule, blip subdivision included.  A ray jumps
     over the points its last value certifies as deeper than blip_tol +
-    march_step (march_xi >= xi inside, xi is 1-Lipschitz).  Runs stop and
-    are capped as the engine's are, and retire once min_nd < decided_below.
+    march_step (march_xi >= xi inside, xi is 1-Lipschitz).  A ray whose
+    step crosses the wall or holds a blip leaves the march with its exit
+    bracket; the held brackets are polished and bounced in one batch once
+    their rays are at least as many as the marching ones, or at once when
+    a chord ends within its first march step (it creeps, and so will its
+    next chord).  The polish works row by row, so the outputs are those of
+    polishing each march step's exits.  Runs stop and are capped as the
+    engine's are, and retire once min_nd < decided_below.
     """
     n = len(dirs)
     x0 = np.asarray(x0, dtype=float)
@@ -257,6 +263,7 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
         nd = np.abs(np.einsum("ij,ij->i", nrm, wv))
         min_nd[ci] = np.minimum(min_nd[ci], nd)
         bounces[ci] += 1
+        active[ci] = True
         left[ci] -= sb
         wr = wv - 2.0 * np.einsum("ij,ij->i", nrm, wv)[:, None] * nrm
         # the next chord starts at the bounce point, as the engine's does
@@ -286,32 +293,48 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
         if out.size:
             bounce(out, np.zeros(out.size))
 
-    while np.any(active):
+    pend = []   # (rays, lo, hi) of the exit brackets waiting for the polish
+    held = 0    # rays in pend, out of the march until their bounce
+    while active.any() or pend:
         idx = np.nonzero(active)[0]
-        k = np.floor((-xi_prev[idx] - tol) / step)   # steps certified deep
-        last = np.ceil(left[idx] / step)   # index of the clipped point
-        jn = np.minimum(j[idx] + np.maximum(k, 1.0), last)
-        s = np.minimum(jn * step, left[idx])
-        xi = domain.march_xi(start[idx] + s[:, None] * w[idx])
-        crossed = xi > 0.0
-        # exit bracket [lo, hi] of each step, narrowed where a blip is found
-        lo, hi = (jn - 1.0) * step, s
-        near = np.nonzero((xi > -tol) & ~crossed & (xi_prev[idx] > -tol))[0]
-        if near.size:
-            rays = idx[near]
-            has, b_lo, b_hi = domain.blip_brackets(start[rays], w[rays],
-                                                   lo[near], hi[near])
-            rows = near[has]
-            crossed[rows] = True
-            lo[rows], hi[rows] = b_lo, b_hi
-        ok = ~crossed
-        ii = idx[ok]
-        j[ii], xi_prev[ii] = jn[ok], xi[ok]
-        active[ii[jn[ok] >= last[ok]]] = False
-        ci = idx[crossed]
-        if ci.size:
-            bounce(ci, _polish_exits(domain, start[ci], w[ci], lo[crossed],
-                                     hi[crossed]))
+        creep = False
+        if idx.size:
+            k = np.floor((-xi_prev[idx] - tol) / step)   # steps certified deep
+            last = np.ceil(left[idx] / step)   # index of the clipped point
+            jn = np.minimum(j[idx] + np.maximum(k, 1.0), last)
+            s = np.minimum(jn * step, left[idx])
+            xi = domain.march_xi(start[idx] + s[:, None] * w[idx])
+            crossed = xi > 0.0
+            # exit bracket [lo, hi] of each step, narrowed where a blip is found
+            lo, hi = (jn - 1.0) * step, s
+            near = np.nonzero((xi > -tol) & ~crossed
+                              & (xi_prev[idx] > -tol))[0]
+            if near.size:
+                rays = idx[near]
+                has, b_lo, b_hi = domain.blip_brackets(start[rays], w[rays],
+                                                       lo[near], hi[near])
+                rows = near[has]
+                crossed[rows] = True
+                lo[rows], hi[rows] = b_lo, b_hi
+            ok = ~crossed
+            ii = idx[ok]
+            j[ii], xi_prev[ii] = jn[ok], xi[ok]
+            active[ii[jn[ok] >= last[ok]]] = False
+            ci = idx[crossed]
+            if ci.size:
+                active[ci] = False
+                pend.append((ci, lo[crossed], hi[crossed]))
+                held += ci.size
+                # a chord that ends within its first march step creeps, and
+                # so will its next chord: it does not wait
+                creep = (j[ci] == 0.0).any()
+        # the brackets go through one polish once the rays holding them are
+        # at least as many as the rays still marching
+        if pend and (creep or held >= np.count_nonzero(active)):
+            ci, lo, hi = (pend[0] if len(pend) == 1 else
+                          (np.concatenate(c) for c in zip(*pend)))
+            pend, held = [], 0
+            bounce(ci, _polish_exits(domain, start[ci], w[ci], lo, hi))
     return min_nd, bounces, stopped
 
 
@@ -380,9 +403,9 @@ def _badset_rows(engine: BilliardEngine, x, L, n_samples, seed, deltas,
     if len(deltas) == 0:
         raise ValueError("at least one threshold delta is required")
     for d in deltas:
-        if not (math.isfinite(d) and d > 0.0):
-            raise ValueError(
-                f"threshold delta must be finite and positive, got {d}")
+        # graze_threshold's range; from 1 on, every bounce is near grazing
+        if not 0.0 < d < 1.0:
+            raise ValueError(f"threshold delta must lie in (0, 1), got {d}")
     for spec in (s for specs in spec_rows for s in specs):
         if spec.kind == "angular-momentum":
             ring_reference_momentum(engine.domain, spec.tau_ref)

@@ -13,9 +13,12 @@ against them.  Run
 
 from the root of a checkout to rewrite the corpus; against the files it
 replaces it prints the largest change of each numeric output field, and the
-changed rows of every other field with their transitions.
+changed rows of every other field with their transitions.  With
+``--check`` it runs every case, writes no file, prints the same report and
+exits 1 if the bytes of any file would change.
 """
 
+import argparse
 import functools
 import json
 import math
@@ -283,34 +286,47 @@ def report(cmd, old, new):
             for k, d in sorted(moved.items())]
 
 
-def _write(label, cmd, path, text):
+def _write(label, cmd, path, text, check):
+    """Report the change of one corpus file and, unless check, write it;
+    True if its bytes change."""
     old = path.read_text() if path.exists() else None
-    path.write_text(text)
+    if not check:
+        path.write_text(text)
     if old is None:
         print(f"{label}: new")
     else:
-        print(f"{label}: "
-              + ("; ".join(report(cmd, old, text)) or "unchanged"))
+        print(f"{label}: " + ("; ".join(report(cmd, old, text))
+                              or ("unchanged" if old == text
+                                  else "bytes differ")))
+    return old != text
 
 
-def rewrite():
-    """Rewrite the corpus; prints the largest change per field."""
+def rewrite(check=False):
+    """Rewrite the corpus, or with check only compare against it; prints
+    the largest change per field and returns whether any file changes."""
+    changed = False
     for config in CONFIGS:
-        (HERE / config).mkdir(exist_ok=True)
+        if not check:
+            (HERE / config).mkdir(exist_ok=True)
         for cmd in COMMANDS:
             code, text = run_case(config, cmd)
             if code != 0:
                 sys.exit(f"{config} {cmd}: exit {code}")
-            _write(f"{config} {cmd}", cmd, golden_path(config, cmd), text)
-    (HERE / "tracer").mkdir(exist_ok=True)
-    for name in TRACERS:
-        _write(f"tracer {name}", "tracer", tracer_path(name),
-               run_tracer(name))
-    (HERE / "engine").mkdir(exist_ok=True)
-    for name in ENGINES:
-        _write(f"engine {name}", "engine", engine_path(name),
-               run_engine(name))
+            changed |= _write(f"{config} {cmd}", cmd,
+                              golden_path(config, cmd), text, check)
+    for sub, names, path, run in (("tracer", TRACERS, tracer_path, run_tracer),
+                                  ("engine", ENGINES, engine_path, run_engine)):
+        if not check:
+            (HERE / sub).mkdir(exist_ok=True)
+        for name in names:
+            changed |= _write(f"{sub} {name}", sub, path(name), run(name),
+                              check)
+    return changed
 
 
 if __name__ == "__main__":
-    rewrite()
+    ap = argparse.ArgumentParser(description="Rewrite the golden corpus.")
+    ap.add_argument("--check", action="store_true",
+                    help="write no file; exit 1 if any file would change")
+    args = ap.parse_args()
+    sys.exit(1 if rewrite(args.check) and args.check else 0)

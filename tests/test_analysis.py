@@ -297,6 +297,36 @@ def test_tracer_jumps_match_step_by_step_march(request, monkeypatch, fixture,
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("x,L,polish,march", [
+    ([2.0, 0.0, 0.0], 10.0, 21, None),
+    ([3.0, 0.0, 0.0], 5.0, 128, 216)])
+def test_tracer_work_counts(circle_domain, monkeypatch, x, L, polish, march):
+    """Calls of the exit polish and of march_xi on 1,024 quadric samples
+    of seed 0, retired below 0.005 as the benchmark's CLI run retires them.
+    From the tube centre the pooled polish takes at most 21 calls (72 when
+    each march iteration polished its own exits); at the outer equator,
+    where chords creep and are polished at once, both counts are those of
+    the per-iteration polish."""
+    calls = {"polish": 0, "march": 0}
+
+    def counted(name, fn):
+        def wrap(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrap
+
+    monkeypatch.setattr(analysis, "_polish_exits",
+                        counted("polish", analysis._polish_exits))
+    monkeypatch.setattr(circle_domain, "march_xi",
+                        counted("march", circle_domain.march_xi))
+    _trace_min_graze(circle_domain, np.array(x), _sample_directions(0, 0, 1024),
+                     L, decided_below=0.005)
+    if march is None:
+        assert calls["polish"] <= polish
+    else:
+        assert calls == {"polish": polish, "march": march}
+
+
 EPS = (0.02, 0.01, 0.005)
 
 
@@ -432,9 +462,14 @@ def _exit_brackets(domain, base, dirs, h=0.05, m=120):
     return np.array(lo), np.array(hi)
 
 
-@pytest.mark.parametrize("fixture,x", [("circle_domain", [2.0, 0.0, 0.0]),
-                                       ("ellipse_domain", [3.0, 0.0, 0.0])])
+@pytest.mark.parametrize("fixture,x", [
+    ("circle_domain", [2.0, 0.0, 0.0]), ("ellipse_domain", [3.0, 0.0, 0.0]),
+    ("generic_circle_domain", [2.0, 0.0, 0.0])])
 def test_polish_exits_matches_engine_refine_root(request, fixture, x):
+    """The batched polish stays within 1e-12 of the engine's, and each
+    root is bit-identical however the batch is made up (each row alone, the
+    batch reversed): the tracer pools brackets of different march
+    iterations into one batch on this property."""
     domain = request.getfixturevalue(fixture)
     engine = tb.BilliardEngine(domain)
     dirs = _sample_directions(9, 0, 24)
@@ -450,6 +485,13 @@ def test_polish_exits_matches_engine_refine_root(request, fixture, x):
                     for b, w, a, c in zip(base, dirs, lo, hi)])
     assert np.abs(got - ref).max() <= 1e-12
     assert np.abs(domain.xi(base + got[:, None] * dirs)).max() <= XI_ROOT_TOL
+    alone = [analysis._polish_exits(domain, base[i:i + 1], dirs[i:i + 1],
+                                    lo[i:i + 1], hi[i:i + 1])[0]
+             for i in range(len(got))]
+    assert np.array_equal(got, alone)
+    rev = analysis._polish_exits(domain, base[::-1], dirs[::-1], lo[::-1],
+                                 hi[::-1])
+    assert np.array_equal(got, rev[::-1])
 
 
 def test_polish_exits_raises_without_root(circle_domain):
@@ -567,6 +609,7 @@ def test_badset_scan_rejects_speed_band(circle_engine):
     ([2.0, 0.0, 0.0], 0.0, 0.05),
     ([2.0, 0.0, 0.0], 4.0, -1.0),
     ([2.0, 0.0, 0.0], 4.0, np.inf),
+    ([2.0, 0.0, 0.0], 4.0, 1.0),         # every bounce near grazing
 ])
 def test_badset_rejects_invalid_inputs(circle_engine, x, L, delta):
     with pytest.raises(ValueError):

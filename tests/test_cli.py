@@ -181,6 +181,8 @@ BADSET_ARGV = ["badset", "--x", "2,0,0", "--samples", "8", "--length", "1"]
     ({"curve": {"kind": "circle", "r": -1}}, ["inflection-map"]),
     ({"curve": {"kind": "ellipse", "center": 0.5}}, ["inflection-map"]),
     ({"badset": {"phi": 0.0}}, BADSET_ARGV),
+    ({}, BADSET_ARGV + ["--eps", "1.5"]),
+    ({"badset": {"eps": [0.05, 1.0]}}, BADSET_ARGV),
     ({}, ["--config", "no-such-dir/config.json", "inflection-map"]),
     ("{\"seed\": ", ["inflection-map"]),
     ([{"seed": 1}], ["inflection-map"]),
@@ -193,13 +195,15 @@ BADSET_ARGV = ["badset", "--x", "2,0,0", "--samples", "8", "--length", "1"]
         "threshold-above-one", "fractional-count", "string-coordinate",
         "string-eps", "empty-eps", "string-flag", "integer-flag",
         "zero-gate", "negative-gate", "tube-past-axis", "negative-radius",
-        "ellipse-past-axis", "badset-phi", "missing-config",
+        "ellipse-past-axis", "badset-phi", "eps-flag-above-one",
+        "eps-config-at-one", "missing-config",
         "malformed-json", "list-root", "negative-seed-flag",
         "seed-flag-past-64-bits", "string-seed-env"])
 def test_wrong_json_type_exit_code(tmp_path, monkeypatch, capsys, cfg, argv):
-    # each of the first 24 ended in a traceback, was accepted (an empty eps
+    # each of the first 26 ended in a traceback, was accepted (an empty eps
     # list traced every sample, then wrote no row; a gate of 0 wrote no
-    # row; a badset phi was never read), or (a radius of true, a curve of
+    # row; a badset phi was never read; an eps of 1 or more counted every
+    # bouncing sample near grazing), or (a radius of true, a curve of
     # the wrong shape) exited 2 as a numeric failure; the rest are the
     # config errors of an unreadable file, a bad seed flag and a bad
     # environment value.  Leading NAME=value items set the environment.
