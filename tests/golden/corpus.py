@@ -49,7 +49,7 @@ CONFIGS = {
         "classify_boundary": {"n_tau": 8, "n_theta": 6, "phi": 0.3},
         "inflection_map": {"n_tau": 12},
         "badset": {"x": [2.5, 0.0, 0.6], "eps": [0.2, 0.1, 0.05],
-                   "length": 3.0, "samples": 256},
+                   "length": 3.0, "samples": 2500},
         "jacobian": {"t": 1.0, "x": [2.5, 0.0, 0.0], "v": [1.0, 0.1, 0.05],
                      "s": -1.0},
         "recurrence_check": {
