@@ -6,6 +6,7 @@ Jacobians and the specular basis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,12 @@ from .engine import (DEFAULT_MAX_BOUNCES, XI_FLOOR, XI_ROOT_TOL,
                      graze_stop)
 from .errors import DegenerateBasisError, NonSmoothPointError, NumericsError
 
+# samples per random-stream chunk: chunk c of seed s is always the same
+# directions, so the chunk fixes which samples a call draws
 BADSET_CHUNK = 1024
+# rays per tracer call: wider batches spread each march round over more
+# rays; the batch fixes only how the samples are traced, not their outputs
+BADSET_BATCH = 4 * BADSET_CHUNK
 # trim of the inner region at each end for the recurrence residuals
 EDGE_MARGIN = 0.05
 
@@ -338,14 +344,26 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
     return min_nd, bounces, stopped
 
 
+def _count(name, value, least):
+    """value as an int; a non-bool integer >= least, as bounce_cap checks."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _trace_samples(engine: BilliardEngine, x, L, n_samples, seed,
                    decided_below):
-    """Sample n_samples directions in chunks of BADSET_CHUNK and trace each
-    once by _trace_min_graze under the engine's bounce cap and stop rule.
-    Returns (units, min_nd, bounces, stopped), one entry per sample.
+    """Draw n_samples directions in stream chunks of BADSET_CHUNK and trace
+    them by _trace_min_graze, once each, in batches of BADSET_BATCH rays
+    under the engine's bounce cap and stop rule.  The chunks fix the
+    samples; every ray is traced row by row, so the batches change no
+    output.  Returns (units, min_nd, bounces, stopped), one entry per
+    sample.
 
     Raises ValueError unless x is a finite point of the closed domain, L is
-    finite and positive and n_samples is positive.
+    finite and positive, n_samples is an integer >= 1 and seed an integer
+    >= 0.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (3,) or not np.all(np.isfinite(x)):
@@ -355,18 +373,18 @@ def _trace_samples(engine: BilliardEngine, x, L, n_samples, seed,
         raise ValueError(f"base point {x.tolist()} lies outside the domain")
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"length must be finite and positive, got {L}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    chunks = []
-    for c0 in range(0, n_samples, BADSET_CHUNK):
-        m = min(BADSET_CHUNK, n_samples - c0)
-        dirs = _sample_directions(seed, c0 // BADSET_CHUNK, m)
-        units = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        chunks.append((units, *_trace_min_graze(
-            engine.domain, x, dirs, L, max_bounces=engine.max_bounces,
-            graze_threshold=engine.graze_threshold,
-            decided_below=decided_below)))
-    return tuple(np.concatenate(col) for col in zip(*chunks))
+    n_samples = _count("n_samples", n_samples, 1)
+    seed = _count("seed", seed, 0)
+    dirs = np.concatenate([
+        _sample_directions(seed, c, min(BADSET_CHUNK, n_samples - c0))
+        for c, c0 in enumerate(range(0, n_samples, BADSET_CHUNK))])
+    units = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    traced = [_trace_min_graze(engine.domain, x, dirs[b0:b0 + BADSET_BATCH],
+                               L, max_bounces=engine.max_bounces,
+                               graze_threshold=engine.graze_threshold,
+                               decided_below=decided_below)
+              for b0 in range(0, n_samples, BADSET_BATCH)]
+    return (units, *(np.concatenate(col) for col in zip(*traced)))
 
 
 def _badset_row(engine: BilliardEngine, x, samples, delta, ring_specs):
@@ -424,13 +442,12 @@ def badset_measure(engine: BilliardEngine, x, phi, eps_graze, L, n_samples,
     with the given ring_specs in place of ring kinds.
     """
     x = np.asarray(x, dtype=float)
-    n_samples = int(n_samples)
     row, = _badset_rows(engine, x, L, n_samples, seed, [eps_graze],
                         [ring_specs or ()])
     breakdown = {k: row[k] for k in ("near_grazing", "ring_excluded",
                                      "stopped_at_inflection", "max_bounces")}
     return BadSetReport(x=x, phi=float(phi), epsilon_graze=float(eps_graze),
-                        L=float(L), n_samples=n_samples,
+                        L=float(L), n_samples=int(n_samples),
                         fraction=row["fraction"], ci95=row["ci95"],
                         breakdown=breakdown)
 
@@ -453,7 +470,7 @@ def badset_scan(engine: BilliardEngine, x, phi, deltas, L, n_samples, seed,
     spec_rows = [[RingSpec(kind=k, epsilon=float(d),
                            tau_ref=tau_ref if k == "angular-momentum" else None)
                   for k in ring_kinds] for d in deltas]
-    return _badset_rows(engine, np.asarray(x, dtype=float), L, int(n_samples),
+    return _badset_rows(engine, np.asarray(x, dtype=float), L, n_samples,
                         seed, deltas, spec_rows)
 
 

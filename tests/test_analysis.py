@@ -297,17 +297,23 @@ def test_tracer_jumps_match_step_by_step_march(request, monkeypatch, fixture,
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("x,L,polish,march", [
-    ([2.0, 0.0, 0.0], 10.0, 21, None),
-    ([3.0, 0.0, 0.0], 5.0, 128, 216)])
-def test_tracer_work_counts(circle_domain, monkeypatch, x, L, polish, march):
-    """Calls of the exit polish and of march_xi on 1,024 quadric samples
-    of seed 0, retired below 0.005 as the benchmark's CLI run retires them.
-    From the tube centre the pooled polish takes at most 21 calls (72 when
-    each march iteration polished its own exits); at the outer equator,
-    where chords creep and are polished at once, both counts are those of
-    the per-iteration polish."""
-    calls = {"polish": 0, "march": 0}
+@pytest.mark.parametrize("x,L,n,polish,march", [
+    pytest.param([2.0, 0.0, 0.0], 10.0, 1024, 21, None, id="x0-10.0-21-None"),
+    pytest.param([3.0, 0.0, 0.0], 5.0, 1024, 128, 216, id="x1-5.0-128-216"),
+    pytest.param([2.0, 0.0, 0.0], 10.0, 2000, 22, 185, id="cli-2000")])
+def test_tracer_work_counts(circle_engine, monkeypatch, x, L, n, polish,
+                            march):
+    """Calls of the tracer, of the exit polish and of march_xi on n quadric
+    samples of seed 0, retired below 0.005 as the benchmark's CLI run
+    retires them.  From the tube centre the pooled polish takes at most 21
+    calls on 1,024 samples (72 when each march iteration polished its own
+    exits); at the outer equator, where chords creep and are polished at
+    once, both counts are those of the per-iteration polish.  The CLI's
+    2,000 samples, two stream chunks, are one tracer batch: at most 22
+    polish and 185 march_xi calls (2, 36 and 305 when each chunk was traced
+    on its own)."""
+    domain = circle_engine.domain
+    calls = {"trace": 0, "polish": 0, "march": 0}
 
     def counted(name, fn):
         def wrap(*args, **kwargs):
@@ -315,16 +321,61 @@ def test_tracer_work_counts(circle_domain, monkeypatch, x, L, polish, march):
             return fn(*args, **kwargs)
         return wrap
 
+    monkeypatch.setattr(analysis, "_trace_min_graze",
+                        counted("trace", analysis._trace_min_graze))
     monkeypatch.setattr(analysis, "_polish_exits",
                         counted("polish", analysis._polish_exits))
-    monkeypatch.setattr(circle_domain, "march_xi",
-                        counted("march", circle_domain.march_xi))
-    _trace_min_graze(circle_domain, np.array(x), _sample_directions(0, 0, 1024),
-                     L, decided_below=0.005)
+    monkeypatch.setattr(domain, "march_xi", counted("march", domain.march_xi))
+    analysis._trace_samples(circle_engine, np.array(x), L, n, 0, 0.005)
+    assert calls["trace"] == 1
     if march is None:
         assert calls["polish"] <= polish
+    elif n == 1024:
+        assert (calls["polish"], calls["march"]) == (polish, march)
     else:
-        assert calls == {"polish": polish, "march": march}
+        assert calls["polish"] <= polish and calls["march"] <= march
+
+
+def _trace_per_chunk(engine, x, L, n, seed, decided_below):
+    """The samples of _trace_samples traced one stream chunk per tracer
+    call."""
+    chunks = []
+    for c0 in range(0, n, analysis.BADSET_CHUNK):
+        dirs = _sample_directions(seed, c0 // analysis.BADSET_CHUNK,
+                                  min(analysis.BADSET_CHUNK, n - c0))
+        chunks.append((dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                       *_trace_min_graze(
+                           engine.domain, x, dirs, L,
+                           max_bounces=engine.max_bounces,
+                           graze_threshold=engine.graze_threshold,
+                           decided_below=decided_below)))
+    return tuple(np.concatenate(col) for col in zip(*chunks))
+
+
+@pytest.mark.parametrize("decided_below", [0.0, 0.005])
+@pytest.mark.parametrize("fixture,x,L", [
+    ("circle_domain", [3.0, 0.0, 0.0], 2.0),
+    ("generic_circle_domain", [2.0, 0.0, 0.0], 1.5)])
+def test_trace_samples_independent_of_batch(request, monkeypatch, fixture, x,
+                                            L, decided_below):
+    """Across a batch boundary (BADSET_BATCH + 1 samples, five stream
+    chunks), the batched samples equal those traced chunk by chunk, bit
+    for bit, and so do batches of 1,000 rays, whose boundaries fall inside
+    the chunks; a numpy integer count and seed are accepted.  A cap of 100
+    bounces ends the creeping runs along the outer equator early."""
+    engine = tb.BilliardEngine(request.getfixturevalue(fixture),
+                               max_bounces=100)
+    x = np.array(x)
+    n = analysis.BADSET_BATCH + 1
+    want = _trace_per_chunk(engine, x, L, n, 4, decided_below)
+    assert want[2].sum() > 0
+    for batch in (analysis.BADSET_BATCH, 1000):
+        monkeypatch.setattr(analysis, "BADSET_BATCH", batch)
+        got = analysis._trace_samples(engine, x, L, np.int64(n), np.int64(4),
+                                      decided_below)
+        assert len(got[0]) == n
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 EPS = (0.02, 0.01, 0.005)
@@ -602,7 +653,7 @@ def test_badset_scan_rejects_speed_band(circle_engine):
                        (0.5, 3.0))
 
 
-@pytest.mark.parametrize("x,L,delta", [
+INVALID_INPUTS = [
     ([9.0, 0.0, 0.0], 4.0, 0.05),        # base point outside the domain
     ([np.nan, 0.0, 0.0], 4.0, 0.05),
     ([2.0, 0.0, 0.0], np.nan, 0.05),
@@ -610,12 +661,24 @@ def test_badset_scan_rejects_speed_band(circle_engine):
     ([2.0, 0.0, 0.0], 4.0, -1.0),
     ([2.0, 0.0, 0.0], 4.0, np.inf),
     ([2.0, 0.0, 0.0], 4.0, 1.0),         # every bounce near grazing
-])
-def test_badset_rejects_invalid_inputs(circle_engine, x, L, delta):
+]
+# sample counts and seeds that are not integers in range: a float was
+# truncated (2.7 traced 2 samples, seed 1.5 ran as seed 1), "16" traced 16
+# and True traced 1
+INVALID_COUNTS = [(2.7, 0), (3.9, 0), ("16", 0), (True, 0), (0, 0),
+                  (16, 1.5), (16, -1), (16, True), (16, "0")]
+
+
+@pytest.mark.parametrize("x,L,delta,n,seed", [
+    pytest.param(x, L, delta, 16, 0, id=f"x{i}-{L}-{delta}")
+    for i, (x, L, delta) in enumerate(INVALID_INPUTS)] + [
+    pytest.param([2.0, 0.0, 0.0], 1.0, 0.1, n, seed, id=f"n{n!r}-seed{seed!r}")
+    for n, seed in INVALID_COUNTS])
+def test_badset_rejects_invalid_inputs(circle_engine, x, L, delta, n, seed):
     with pytest.raises(ValueError):
-        tb.badset_scan(circle_engine, x, 0.0, [delta], L, 16, 0)
+        tb.badset_scan(circle_engine, x, 0.0, [delta], L, n, seed)
     with pytest.raises(ValueError):
-        tb.badset_measure(circle_engine, x, 0.0, delta, L, 16, 0)
+        tb.badset_measure(circle_engine, x, 0.0, delta, L, n, seed)
 
 
 # -- Jacobians -------------------------------------------------------------

@@ -368,7 +368,7 @@ def test_badset_traces_each_sample_once(tmp_path, monkeypatch):
                                     "--length", "2", "--samples", "2000"])
     assert code == 0
     assert len(text.strip().split("\n")) == 2 + 3
-    assert calls == [1024, 976]     # ceil(2000 / BADSET_CHUNK) chunks
+    assert calls == [2000]     # one batch of at most BADSET_BATCH rays
 
 
 def test_badset_honours_cap_and_graze_threshold(tmp_path, circle_domain):
