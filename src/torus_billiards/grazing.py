@@ -11,7 +11,9 @@ tangent where tan(theta) = sqrt(|gamma2'| / (kappa * gamma1)).
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,17 +58,32 @@ def _euler_taylor(k1, k2, cos2, sin_t, dk1, dk2):
             sin_t * (3.0 * cos2 * dk1 + sin_t * sin_t * dk2))
 
 
+@functools.lru_cache(maxsize=1)
+def _section_geometry(domain, key):
+    """(outward normal, kappa1, kappa2, azimuthal unit tangent) at
+    sigma(tau, phi), (tau, phi) packed in key bit for bit: the part of
+    normal_curvature that is shared by every direction of a fan."""
+    tau, phi = struct.unpack("dd", key)
+    k1, k2 = principal_curvatures(domain, tau)
+    return (domain.outward_normal(tau, phi), float(k1), float(k2),
+            domain.phi_hat(phi))
+
+
 def normal_curvature(domain: ToroidalDomain, tau, phi, w):
     """Euler's formula in the tangent direction w at sigma(tau, phi)."""
+    tau, phi = float(tau), float(phi)
+    if not (math.isfinite(tau) and math.isfinite(phi)):
+        raise ValueError(f"tau and phi must be finite, got {tau!r}, {phi!r}")
     w = np.asarray(w, dtype=float)
-    w = w / np.linalg.norm(w)
-    n = domain.outward_normal(tau, phi)
+    norm = np.linalg.norm(w)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"direction must be finite and nonzero, got {w.tolist()!r}")
+    w = w / norm
+    n, k1, k2, e_az = _section_geometry(domain, struct.pack("dd", tau, phi))
     if abs(float(np.dot(n, w))) > TANGENT_TOL:
         raise ValueError(f"direction is not tangent: n.w = {float(np.dot(n, w)):.3e}")
-    k1, k2 = principal_curvatures(domain, tau)
-    cos_t = float(np.dot(w, domain.phi_hat(phi)))
-    return _euler_taylor(float(k1), float(k2), min(cos_t * cos_t, 1.0),
-                         0.0, 0.0, 0.0)[0]
+    cos_t = float(np.dot(w, e_az))
+    return _euler_taylor(k1, k2, min(cos_t * cos_t, 1.0), 0.0, 0.0, 0.0)[0]
 
 
 @dataclass
@@ -104,23 +121,40 @@ def _formal_pair(domain: ToroidalDomain, tau, phi, positive_momentum=True):
     return theta, c_plus, c_minus
 
 
-def classify(domain: ToroidalDomain, x, v,
-             graze_threshold=DEFAULT_GRAZE_THRESHOLD) -> GrazingClass:
-    """Classify a tangential boundary phase by the signs of the normal
-    section's Taylor model at +-s0, s0 = LADDER_BASE_FRACTION / kappa_max,
-    or, on a flat phase where both model terms at s0 lie below the quartic
-    scale kappa_max^3 s0^4 = LADDER_BASE_FRACTION^3 s0, of xi at x +- s0 u."""
+@functools.lru_cache(maxsize=1)
+def _point_geometry(domain, key):
+    """The part of classify that is shared by every direction at a boundary
+    point, x's float64 bytes in key: its outward normal, cos and sin of its
+    azimuth, the profile's unit tangent (t1, t2) at the foot, the principal
+    curvatures k1, k2 and their tau-derivatives, and the Taylor step s0."""
+    x = np.frombuffer(key)
     tau, n = bounce_foot(domain, x)
     prof = domain.profile
     t1, t2 = prof.deriv1(tau).tolist()
     a1, a2 = prof.deriv2(tau).tolist()
     g1 = float(prof.gamma1(tau))
     phi = math.atan2(x[1], x[0])
-    c, s = math.cos(phi), math.sin(phi)
+    k1, k2 = t2 / g1, math.hypot(a1, a2)
+    return (n, math.cos(phi), math.sin(phi), t1, t2, k1, k2,
+            (a2 - k1 * t1) / g1, float(prof.curvature_prime(tau)),
+            LADDER_BASE_FRACTION / max(abs(k1), k2))
+
+
+def classify(domain: ToroidalDomain, x, v,
+             graze_threshold=DEFAULT_GRAZE_THRESHOLD) -> GrazingClass:
+    """Classify a tangential boundary phase by the signs of the normal
+    section's Taylor model at +-s0, s0 = LADDER_BASE_FRACTION / kappa_max,
+    or, on a flat phase where both model terms at s0 lie below the quartic
+    scale kappa_max^3 s0^4 = LADDER_BASE_FRACTION^3 s0, of xi at x +- s0 u."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,):
+        raise ValueError(f"point must be a 3-vector, got shape {x.shape}")
     vx, vy, vz = np.asarray(v, dtype=float).tolist()
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     if not 0.0 < speed < math.inf:
         raise ValueError(f"velocity must be finite and nonzero, got {v!r}")
+    n, c, s, t1, t2, k1, k2, dk1, dk2, s0 = _point_geometry(domain,
+                                                           x.tobytes())
     vr = c * vx + s * vy
     nd = float(np.dot(n, (vx, vy, vz))) / speed
     if abs(nd) >= graze_threshold:
@@ -128,10 +162,7 @@ def classify(domain: ToroidalDomain, x, v,
     # v's components along the azimuthal and the meridian unit tangents
     va, vm = c * vy - s * vx, t1 * vr + t2 * vz
     cos_t, sin_t = va / math.hypot(va, vm), vm / math.hypot(va, vm)
-    k1, k2 = t2 / g1, math.hypot(a1, a2)
-    kn, c3 = _euler_taylor(k1, k2, cos_t * cos_t, sin_t, (a2 - k1 * t1) / g1,
-                           float(prof.curvature_prime(tau)))
-    s0 = LADDER_BASE_FRACTION / max(abs(k1), k2)
+    kn, c3 = _euler_taylor(k1, k2, cos_t * cos_t, sin_t, dk1, dk2)
     fwd, bwd = kn * s0 * s0 / 2.0, c3 * s0 ** 3 / 6.0
     if max(abs(fwd), abs(bwd)) >= LADDER_BASE_FRACTION ** 3 * s0:
         fwd, bwd = fwd + bwd, fwd - bwd

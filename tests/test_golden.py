@@ -1,46 +1,25 @@
 """Fresh command-line outputs, tracer arrays and engine events against the
 golden corpus in tests/golden/.
 
-The circle config and the quadric's tracer arrays and engine events must
-reproduce their files byte for byte.  The ellipse config and the other
-tracer arrays and engine events are
-compared field by field: each numeric field may move by at most its bound
-below (0 where none is given), every other field not at all.
+The files of corpus.BYTE_EXACT, the circle config and the quadric's tracer
+arrays and engine events, must reproduce byte for byte.  The ellipse config
+and the other tracer arrays and engine events are compared field by field:
+each numeric field may move by at most its corpus.FIELD_BOUNDS entry (0
+where none is given), every other field not at all.
 A change made on purpose is recorded by rewriting the corpus with
-``tests/golden/corpus.py``, whose report of each changed field (the
-largest change of a number, the changed rows and transitions of any other
-value) goes with the change.
+``tests/golden/corpus.py``, whose report of each file's verdict and changed
+fields (the largest change of a number, the changed rows and transitions of
+any other value) goes with the change.
 """
 
 import math
 
 import pytest
 
-from golden.corpus import (COMMANDS, ENGINES, TRACERS, changes, engine_path,
-                           golden_path, report, run_case, run_engine,
-                           run_tracer, tracer_path)
-
-FIELD_BOUNDS = {
-    **dict.fromkeys(["simulate:bounce." + k for k in (
-        "x", "t", "tau", "phi_unwrapped", "v_out", "normal_dot")], 1e-9),
-    "simulate:header.total_length": 1e-9,
-    "simulate:header.winding": 1e-9,
-    "simulate:header.diagnostics.omega_drift": 1e-12,
-    "simulate:header.diagnostics.speed_drift": 1e-12,
-    "classify-boundary:kappa_n": 1e-12,
-    **dict.fromkeys(["inflection-map:" + k for k in (
-        "tau", "theta", "omega_I")], 1e-10),
-    "jacobian:jacobian.det": 1e-6,
-    "jacobian:jacobian.rel_spread": 1e-9,
-    "recurrence-check:d_tau": 1e-9,
-    "recurrence-check:d_phi": 1e-9,
-    "recurrence-check:r1": 1e-6,
-    "recurrence-check:r2": 1e-6,
-    "tracer:min_nd": 1e-12,
-    **dict.fromkeys(["engine:" + k for k in (
-        "t", "x", "y", "z", "tau", "phi", "vx", "vy", "vz", "normal_dot")],
-        1e-9),
-}
+from golden.corpus import (BYTE_EXACT, COMMANDS, ENGINES, TRACERS,
+                           beyond_bounds, changes, engine_path, golden_path,
+                           report, run_case, run_engine, run_tracer,
+                           tracer_path, verdict)
 
 
 def _assert_bytes(cmd, want, text):
@@ -62,18 +41,16 @@ def test_circle_outputs_are_golden(cmd):
 def test_ellipse_outputs_within_field_bounds(cmd):
     code, text = run_case("ellipse", cmd)
     assert code == 0
-    moved = changes(cmd, golden_path("ellipse", cmd).read_text(), text)
-    over = {k: d for k, d in moved.items() if d > FIELD_BOUNDS.get(k, 0.0)}
+    over = beyond_bounds(cmd, golden_path("ellipse", cmd).read_text(), text)
     assert not over, f"fields beyond their bounds: {over}"
 
 
 def _check_golden(cmd, kind, want, text):
     """Byte for byte on the quadric, within FIELD_BOUNDS elsewhere."""
-    if kind == "quadric":
+    if kind in BYTE_EXACT:
         _assert_bytes(cmd, want, text)
         return
-    moved = changes(cmd, want, text)
-    over = {k: d for k, d in moved.items() if d > FIELD_BOUNDS.get(k, 0.0)}
+    over = beyond_bounds(cmd, want, text)
     assert not over, f"fields beyond their bounds: {over}"
 
 
@@ -123,3 +100,16 @@ def test_one_ulp_moves_a_quadric_event_out_of_the_corpus():
     with pytest.raises(AssertionError):
         _check_golden("engine", "quadric", want,
                       "\n".join([head, ",".join(cells), rest]))
+
+
+def test_verdict_sorts_a_file_into_three_classes():
+    """--check fails only a file beyond bounds: a bounded field may move by
+    its bound, an unbounded one not at all, and a file of BYTE_EXACT not by
+    one byte."""
+    old = "min_nd,bounces\n0.5,3\n"
+    assert verdict("tracer", old, old, exact=True) == "bit-identical"
+    small = "min_nd,bounces\n0.5000000000001,3\n"
+    assert verdict("tracer", old, small, exact=False) == "within bounds"
+    assert verdict("tracer", old, small, exact=True) == "beyond bounds"
+    for new in ("min_nd,bounces\n0.500000001,3\n", "min_nd,bounces\n0.5,4\n"):
+        assert verdict("tracer", old, new, exact=False) == "beyond bounds"

@@ -1,7 +1,11 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import torus_billiards as tb
+from torus_billiards import grazing
 from torus_billiards.curves import h_value
 from torus_billiards.grazing import GrazingClass, _euler_taylor
 
@@ -38,6 +42,19 @@ def test_normal_curvature_rejects_non_tangent(circle_domain):
         tb.normal_curvature(circle_domain, 0.0, 0.0, [1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("tau,phi,w", [
+    (0.0, 0.0, [0.0, 0.0, 0.0]), (0.0, 0.0, [np.nan, 1.0, 0.0]),
+    (0.0, 0.0, [0.0, np.inf, 0.0]), (np.nan, 0.0, [0.0, 1.0, 0.0]),
+    (0.0, np.inf, [0.0, 1.0, 0.0])])
+def test_normal_curvature_rejects_degenerate_input(circle_domain, tau, phi, w):
+    """A zero or non-finite direction and a non-finite tau or phi raise
+    ValueError, with no RuntimeWarning and no NaN on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            tb.normal_curvature(circle_domain, tau, phi, w)
+
+
 def test_normal_curvature_indicator_oracle(circle_domain):
     for tau, theta in ((0.0, 0.0), (0.0, np.pi / 2), (2 * np.pi / 3, 0.7)):
         w = (np.cos(theta) * circle_domain.phi_hat(0.0)
@@ -71,6 +88,13 @@ def test_classify_convex_concave(circle_domain):
         is GrazingClass.NON_GRAZING
     with pytest.raises(ValueError, match="velocity"):
         tb.classify(circle_domain, [3.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("x", [[3.0, 0.0, 0.0, 7.0], [3.0, 0.0],
+                               [[3.0, 0.0, 0.0]], 3.0])
+def test_classify_rejects_a_point_that_is_not_a_3_vector(circle_domain, x):
+    with pytest.raises(ValueError, match="3-vector"):
+        tb.classify(circle_domain, x, [0.0, 1.0, 0.0])
 
 
 def test_inflection_directions_circle(circle_domain):
@@ -270,3 +294,107 @@ def test_cubic_term_at_inflection_angle_is_h(request, fixture):
         assert abs(kn) < 1e-12
         assert abs(c3 - 3.0 / float(dom.profile.gamma1(tau)) * h
                    * np.sin(theta) * np.cos(theta) ** 2) < 1e-12
+
+
+def _fan(dom, tau, phi, n):
+    """Boundary point sigma(tau, phi) and n tangent directions at it."""
+    e_az, e_m = dom.phi_hat(phi), dom.meridian_tangent(tau, phi)
+    return dom.sigma(tau, phi), [np.cos(th) * e_az + np.sin(th) * e_m
+                                 for th in np.pi * (np.arange(n) + 0.37) / 8]
+
+
+def _fan_row(dom, tau, phi, x, w):
+    """(class, kappa_n bits) of one fan direction, as classify-boundary
+    reads it."""
+    kn = tb.normal_curvature(dom, tau, phi, w)
+    try:
+        cls = tb.classify(dom, x, w)
+    except tb.GrazingAmbiguousError:
+        cls = None
+    return cls, float(kn).hex()
+
+
+def _evict(dom):
+    """Put another point of dom in both grazing memos."""
+    m = dom.markers
+    tau = float(dom.profile.wrap(m.tau1_star + 0.71 * m.inner_span))
+    x, (w,) = _fan(dom, tau, 1.3, 1)
+    _fan_row(dom, tau, 1.3, x, w)
+
+
+@pytest.mark.parametrize("fixture", ["circle_domain", "generic_circle_domain",
+                                     "ellipse_domain"])
+def test_fan_memo_matches_cold_reads(request, fixture):
+    """Over a 16-direction fan each direction read right after the one
+    before it (the point's geometry read once) gives the bits of the same
+    direction read after another point evicted the memos."""
+    dom = request.getfixturevalue(fixture)
+    m = dom.markers
+    tau = float(dom.profile.wrap(m.tau1_star + 0.3 * m.inner_span))
+    x, fan = _fan(dom, tau, 0.4, 16)
+    _evict(dom)
+    warm = [_fan_row(dom, tau, 0.4, x, w) for w in fan]
+    cold = []
+    for w in fan:
+        _evict(dom)
+        cold.append(_fan_row(dom, tau, 0.4, x, w))
+    assert warm == cold
+    assert len({c for c, _ in warm}) > 1
+
+
+def test_fan_memo_keys_on_the_domain_and_the_bits():
+    """The point (3, 0, 0) lies on the boundary of three tori: it is the
+    outer equator of the first two and the inner equator of the third, and
+    (tau, phi) = (0, 0) is that point on the first two.  No domain reads
+    the geometry of another, and phi = -0.0 is its own memo entry."""
+    a, b = tb.CircleTorusDomain(2.0, 1.0), tb.CircleTorusDomain(2.5, 0.5)
+    c = tb.CircleTorusDomain(4.0, 1.0)
+    x, e_az, e_z = [3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]
+    for _ in range(2):
+        assert tb.normal_curvature(a, 0.0, 0.0, e_z) == pytest.approx(1.0)
+        assert tb.normal_curvature(b, 0.0, 0.0, e_z) == pytest.approx(2.0)
+        assert tb.classify(a, x, e_az) is GrazingClass.CONVEX
+        assert tb.classify(c, x, e_az) is GrazingClass.CONCAVE
+    misses = grazing._section_geometry.cache_info().misses
+    tb.normal_curvature(a, 0.0, 0.0, e_z)
+    tb.normal_curvature(a, 0.0, -0.0, e_z)
+    assert grazing._section_geometry.cache_info().misses == misses + 2
+
+
+def test_fan_reads_its_point_once(ellipse_domain, monkeypatch):
+    """A fan of n directions at one ellipse point through normal_curvature
+    and classify takes one foot solve and 20 profile reads, whatever n (n
+    foot solves and 20 n profile reads when each direction read the point's
+    geometry again).  An invalid point or velocity is refused before any of
+    them."""
+    dom = ellipse_domain
+    m = dom.markers
+    tau = float(dom.profile.wrap(m.tau1_star + 0.3 * m.inner_span))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrap(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrap
+
+    monkeypatch.setattr(grazing, "bounce_foot",
+                        counted("foot", grazing.bounce_foot))
+    for attr in ("eval", "deriv1", "deriv2"):
+        monkeypatch.setattr(dom.profile, attr,
+                            counted("profile", getattr(dom.profile, attr)))
+    counts = {}
+    for n in (4, 16):
+        x, fan = _fan(dom, tau, 0.4, n)
+        _evict(dom)
+        calls.clear()
+        for w in fan:
+            _fan_row(dom, tau, 0.4, x, w)
+        counts[n] = dict(calls)
+    assert counts[4]["foot"] == counts[16]["foot"] == 1
+    assert counts[4]["profile"] == counts[16]["profile"]
+    calls.clear()
+    for bad_x, bad_v in ((x[:2], fan[0]), (x, [0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError):
+            tb.classify(dom, bad_x, bad_v)
+    assert not calls
