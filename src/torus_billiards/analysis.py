@@ -6,17 +6,16 @@ Jacobians and the specular basis.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import grazing
-from .domain import PointClass, ToroidalDomain, point_class
+from .domain import PointClass, ToroidalDomain
 from .engine import (DEFAULT_MAX_BOUNCES, XI_FLOOR, XI_ROOT_TOL,
                      BilliardEngine, PhaseState, Trajectory,
-                     TrajectoryStatus, angular_momentum, bounce_cap,
-                     graze_stop)
+                     TrajectoryStatus, _count, angular_momentum, bounce_cap,
+                     graze_stop, start_rule)
 from .errors import DegenerateBasisError, NonSmoothPointError, NumericsError
 
 # samples per random-stream chunk: chunk c of seed s is always the same
@@ -140,23 +139,15 @@ def recurrence_residuals(domain: ToroidalDomain, traj: Trajectory,
     phis = np.array([ev.phi for ev in evs])
     d_tau = (np.diff(taus) + half) % per - half
     d_phi = np.diff(phis)
-    markers = domain.markers
-
-    def admissible(i):
-        if abs(d_tau[i]) >= gate or abs(d_phi[i]) >= gate:
-            return False
-        if inner_only:
-            for tau in (taus[i], taus[i + 1]):
-                if not bool(markers.in_inner(domain.profile, tau, EDGE_MARGIN)):
-                    return False
-                if markers.dist_to_z_h(domain.profile, tau) <= z_h_band:
-                    return False
-        return True
-
+    # each step's gate and each bounce's tau are tested once, as arrays
+    ok = ~((np.abs(d_tau) >= gate) | (np.abs(d_phi) >= gate))
+    if inner_only:
+        markers, prof = domain.markers, domain.profile
+        inner = (markers.in_inner(prof, taus, EDGE_MARGIN)
+                 & ~(markers.dist_to_z_h(prof, taus) <= z_h_band))
+        ok &= inner[:-1] & inner[1:]
     records = []
-    for i in range(len(d_tau) - 1):
-        if not (admissible(i) and admissible(i + 1)):
-            continue
+    for i in np.nonzero(ok[:-1] & ok[1:])[0].tolist():
         denom = (d_tau[i] ** 2 + d_tau[i + 1] ** 2
                  + d_phi[i] ** 2 + d_phi[i + 1] ** 2)
         records.append({
@@ -175,7 +166,6 @@ def recurrence_residuals(domain: ToroidalDomain, traj: Trajectory,
 @dataclass
 class BadSetReport:
     x: np.ndarray
-    phi: float
     epsilon_graze: float
     L: float
     n_samples: int
@@ -285,17 +275,16 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
         active[ci[stopped[ci] | (bounces[ci] >= max_bounces)
                   | (left[ci] <= 0.0) | (min_nd[ci] < decided_below)]] = False
 
-    # the engine's start rule at a boundary base point: a tangential ray
+    # the engine's start rule: at a boundary base point a tangential ray
     # meets the stop rule before it moves, and a ray that leaves at once
     # bounces in place (the zero-length chord)
-    f0, g0 = domain.xi_grad(x0)
-    if point_class(f0) is PointClass.BOUNDARY:
-        nd0 = w @ g0
-        for r in np.nonzero(np.abs(nd0) < graze_threshold)[0]:
+    n0, tangent, leaves = start_rule(domain, x0, w, graze_threshold)
+    if n0 is not None:
+        for r in np.nonzero(tangent)[0]:
             stopped[r] = graze_stop(domain, x0, -w[r], -1,
                                     graze_threshold)[1] is not None
         active[stopped] = False
-        out = np.nonzero(nd0 >= graze_threshold)[0]
+        out = np.nonzero(leaves)[0]
         if out.size:
             bounce(out, np.zeros(out.size))
 
@@ -344,14 +333,6 @@ def _trace_min_graze(domain: ToroidalDomain, x0, dirs, L, *,
     return min_nd, bounces, stopped
 
 
-def _count(name, value, least):
-    """value as an int; a non-bool integer >= least, as bounce_cap checks."""
-    if isinstance(value, bool) or not (
-            isinstance(value, numbers.Integral) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 def _trace_samples(engine: BilliardEngine, x, L, n_samples, seed,
                    decided_below):
     """Draw n_samples directions in stream chunks of BADSET_CHUNK and trace
@@ -387,37 +368,18 @@ def _trace_samples(engine: BilliardEngine, x, L, n_samples, seed,
     return (units, *(np.concatenate(col) for col in zip(*traced)))
 
 
-def _badset_row(engine: BilliardEngine, x, samples, delta, ring_specs):
-    """Bad-set fraction at threshold delta over traced samples.
-
-    A sample is bad when its backward run comes within delta of grazing,
-    is ended by the engine's stop rule (stopped_at_inflection) or bounce
-    cap (max_bounces), or its direction falls in any of ring_specs.  The
-    stop and cap counts leave out near-grazing (perhaps retired) samples.
-    """
-    units, min_nd, bounces, stopped = samples
-    n = len(min_nd)
-    grz = min_nd < delta
-    # a run that stops on its last allowed bounce is stopped, as in the engine
-    capped = (bounces >= engine.max_bounces) & ~(stopped | grz)
-    stopped = stopped & ~grz
-    ring = np.zeros(n, dtype=bool)
-    for flag in ring_membership(engine.domain, x, units, ring_specs):
-        ring |= flag
-    frac = int(np.count_nonzero(grz | stopped | capped | ring)) / n
-    return {"delta": float(delta), "fraction": frac,
-            "ci95": 1.96 * math.sqrt(max(frac * (1.0 - frac), 1.0 / n) / n),
-            "near_grazing": int(np.count_nonzero(grz)),
-            "ring_excluded": int(np.count_nonzero(ring)),
-            "stopped_at_inflection": int(np.count_nonzero(stopped)),
-            "max_bounces": int(np.count_nonzero(capped))}
-
-
 def _badset_rows(engine: BilliardEngine, x, L, n_samples, seed, deltas,
                  spec_rows):
-    """One _badset_row per threshold in deltas, with the ring specs of the
+    """Bad-set fraction per threshold in deltas, with the ring specs of the
     same index in spec_rows, over one traced sample set.  Every threshold
-    and angular-momentum ring is checked before any ray is traced."""
+    and angular-momentum ring is checked before any ray is traced.
+
+    A sample is bad at delta when its backward run comes within delta of
+    grazing, is ended by the engine's stop rule (stopped_at_inflection) or
+    bounce cap (max_bounces), or its direction falls in any of the row's
+    ring specs.  The stop and cap counts leave out near-grazing (perhaps
+    retired) samples.
+    """
     if len(deltas) == 0:
         raise ValueError("at least one threshold delta is required")
     for d in deltas:
@@ -428,14 +390,30 @@ def _badset_rows(engine: BilliardEngine, x, L, n_samples, seed, deltas,
         if spec.kind == "angular-momentum":
             ring_reference_momentum(engine.domain, spec.tau_ref)
     # a sample below the smallest threshold is bad in every row
-    samples = _trace_samples(engine, x, L, n_samples, seed,
-                             min(deltas))
-    return [_badset_row(engine, x, samples, d, specs)
-            for d, specs in zip(deltas, spec_rows)]
+    units, min_nd, bounces, stopped = _trace_samples(
+        engine, x, L, n_samples, seed, min(deltas))
+    n = len(min_nd)
+    rows = []
+    for delta, specs in zip(deltas, spec_rows):
+        grz = min_nd < delta
+        # a run stopped on its last allowed bounce is stopped, as in the engine
+        capped = (bounces >= engine.max_bounces) & ~(stopped | grz)
+        stop = stopped & ~grz
+        ring = np.logical_or.reduce(
+            ring_membership(engine.domain, x, units, specs), axis=0)
+        frac = int(np.count_nonzero(grz | stop | capped | ring)) / n
+        rows.append({
+            "delta": float(delta), "fraction": frac,
+            "ci95": 1.96 * math.sqrt(max(frac * (1.0 - frac), 1.0 / n) / n),
+            "near_grazing": int(np.count_nonzero(grz)),
+            "ring_excluded": int(np.count_nonzero(ring)),
+            "stopped_at_inflection": int(np.count_nonzero(stop)),
+            "max_bounces": int(np.count_nonzero(capped))})
+    return rows
 
 
-def badset_measure(engine: BilliardEngine, x, phi, eps_graze, L, n_samples,
-                   seed, *, ring_specs=None) -> BadSetReport:
+def badset_measure(engine: BilliardEngine, x, eps_graze, L, n_samples, seed,
+                   *, ring_specs=None) -> BadSetReport:
     """Monte Carlo estimate of the bad-direction measure at base point x.
 
     Uniform directions on the sphere; a sample is bad as in badset_scan,
@@ -446,10 +424,9 @@ def badset_measure(engine: BilliardEngine, x, phi, eps_graze, L, n_samples,
                         [ring_specs or ()])
     breakdown = {k: row[k] for k in ("near_grazing", "ring_excluded",
                                      "stopped_at_inflection", "max_bounces")}
-    return BadSetReport(x=x, phi=float(phi), epsilon_graze=float(eps_graze),
-                        L=float(L), n_samples=int(n_samples),
-                        fraction=row["fraction"], ci95=row["ci95"],
-                        breakdown=breakdown)
+    return BadSetReport(x=x, epsilon_graze=float(eps_graze), L=float(L),
+                        n_samples=int(n_samples), fraction=row["fraction"],
+                        ci95=row["ci95"], breakdown=breakdown)
 
 
 def badset_scan(engine: BilliardEngine, x, phi, deltas, L, n_samples, seed,

@@ -64,9 +64,6 @@ class ProfileCurve:
     def gamma1(self, tau):
         return self.eval(tau)[..., 0]
 
-    def gamma2(self, tau):
-        return self.eval(tau)[..., 1]
-
     def curvature(self, tau):
         d2 = self.deriv2(tau)
         return np.hypot(d2[..., 0], d2[..., 1])
@@ -133,12 +130,13 @@ class CurveMarkers:
         return (rel > margin) & (rel < self.inner_span - margin)
 
     def dist_to_z_h(self, curve: ProfileCurve, tau):
-        if not self.z_h_zeros:
-            return np.inf
+        """Distance of tau (scalar or array) to the nearest zero of h."""
         half = curve.period_length / 2.0
-        d = [abs((tau - z + half) % curve.period_length - half)
-             for z in self.z_h_zeros]
-        return min(d)
+        d = np.full(np.shape(tau), np.inf)
+        for z in self.z_h_zeros:
+            d = np.minimum(d, np.abs((tau - z + half) % curve.period_length
+                                     - half))
+        return d
 
 
 def brent_root(f, a, b, xtol, rtol):

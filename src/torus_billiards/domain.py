@@ -29,6 +29,9 @@ SEED_TABLE_SIZE = 2048
 SEED_COARSE_STRIDE = 32
 # |xi| up to which a point lies on the boundary
 BOUNDARY_BAND = 1e-9
+# rows of march_xi's certificate product at a time: BLAS splits a taller
+# one over threads, which cost process time and gained no wall time
+MARCH_SLICE = 256
 
 
 class PointClass(enum.Enum):
@@ -54,6 +57,13 @@ def bounce_foot(domain, p):
         raise NumericsError(f"bounce point off the boundary: xi = "
                             f"{float(xi):.3e} at p = {np.asarray(p).tolist()}")
     return float(tau), n
+
+
+def _revolve(a, b, phi):
+    """The meridian-plane vector (a, b) turned to azimuth phi."""
+    phi = np.asarray(phi, dtype=float)
+    return np.stack([a * np.cos(phi), a * np.sin(phi),
+                     b + np.zeros_like(phi)], axis=-1)
 
 
 def rotation_z(dphi):
@@ -104,25 +114,16 @@ class ToroidalDomain:
 
     def sigma(self, tau, phi):
         g = self.profile.eval(tau)
-        phi = np.asarray(phi, dtype=float)
-        return np.stack([g[..., 0] * np.cos(phi),
-                         g[..., 0] * np.sin(phi),
-                         g[..., 1] + np.zeros_like(phi)], axis=-1)
+        return _revolve(g[..., 0], g[..., 1], phi)
 
     def outward_normal(self, tau, phi):
         d1 = self.profile.deriv1(tau)
-        phi = np.asarray(phi, dtype=float)
-        return np.stack([d1[..., 1] * np.cos(phi),
-                         d1[..., 1] * np.sin(phi),
-                         -d1[..., 0] + np.zeros_like(phi)], axis=-1)
+        return _revolve(d1[..., 1], -d1[..., 0], phi)
 
     def meridian_tangent(self, tau, phi):
         """Unit tangent along increasing tau (sigma_tau direction)."""
         d1 = self.profile.deriv1(tau)
-        phi = np.asarray(phi, dtype=float)
-        return np.stack([d1[..., 0] * np.cos(phi),
-                         d1[..., 0] * np.sin(phi),
-                         d1[..., 1] + np.zeros_like(phi)], axis=-1)
+        return _revolve(d1[..., 0], d1[..., 1], phi)
 
     @staticmethod
     def phi_hat(phi):
@@ -195,11 +196,15 @@ class ToroidalDomain:
         other points pay the nearest-point solve of xi.
         """
         p = np.asarray(p, dtype=float)
-        off = np.stack([np.hypot(p[..., 0], p[..., 1]), p[..., 2],
-                        np.ones(p.shape[:-1])], axis=-1) @ self._cert
-        k = off.shape[-1] // 2
-        out = off[..., :k].max(axis=-1)
-        val = np.where(out > BOUNDARY_BAND, out, off[..., k:].max(axis=-1))
+        q = np.stack([np.hypot(p[..., 0], p[..., 1]), p[..., 2],
+                      np.ones(p.shape[:-1])], axis=-1)
+        k = self._cert.shape[1] // 2
+        # largest offsets beyond a tangent line (out) and inside a chord (deep)
+        out, deep = np.concatenate([
+            (q[i:i + MARCH_SLICE] @ self._cert).reshape(-1, 2, k).max(axis=2)
+            for i in range(0, max(len(q), 1), MARCH_SLICE)]).T.reshape(
+                (2,) + p.shape[:-1])
+        val = np.where(out > BOUNDARY_BAND, out, deep)
         exact = ((out <= BOUNDARY_BAND)
                  & (val >= -self.blip_tol - BOUNDARY_BAND))
         if exact.any():

@@ -121,15 +121,34 @@ def graze_stop(domain: ToroidalDomain, x_b, v, direction, graze_threshold):
     return g, None
 
 
+def start_rule(domain: ToroidalDomain, x, w, graze_threshold, speed=1.0,
+               what="position"):
+    """(n, tangent, leaves) of rays w of speed ``speed`` from x: the unit
+    outward normal at x (None inside, ValueError outside the closed domain),
+    whether |n.w| < graze_threshold speed (the stop rule applies before the
+    ray moves) and whether n.w >= graze_threshold speed (it exits at s = 0)."""
+    f, n = domain.xi_grad(x)
+    cls = point_class(f)
+    if cls is PointClass.OUTSIDE:
+        raise ValueError(f"{what} lies outside the closed domain")
+    if cls is PointClass.INSIDE:
+        return None, False, False
+    nd = (w @ n) / speed
+    return n, np.abs(nd) < graze_threshold, nd >= graze_threshold
+
+
+def _count(name, value, least):
+    """value as an int; a non-bool integer >= least."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def bounce_cap(max_bounces, default):
     """max_bounces as an int, default if None; a non-bool integer >= 1."""
-    if max_bounces is None:
-        return default
-    if isinstance(max_bounces, bool) or not (
-            isinstance(max_bounces, numbers.Integral) and max_bounces >= 1):
-        raise ValueError(
-            f"max_bounces must be an integer >= 1, got {max_bounces!r}")
-    return int(max_bounces)
+    return (default if max_bounces is None
+            else _count("max_bounces", max_bounces, 1))
 
 
 class BilliardEngine:
@@ -178,19 +197,13 @@ class BilliardEngine:
         """Smallest s in (0, max_s] with xi(x + s v) = 0, or None.
 
         ``n`` is the unit outward normal at a boundary start x, None inside.
-        A ray that leaves a boundary start at once (n.v >= graze_threshold
-        |v|) exits at s = 0 (the sup of the empty set).  The march points
-        lie whole march steps from x, the last one clipped to max_s, and
-        reach at most one step past the domain's diameter, where a ray with
-        no exit raises NumericsError.  A boundary start reads 0, and a
-        bracket from it is polished like any other.
+        The march points lie whole march steps from x, the last one clipped
+        to max_s, and reach at most one step past the domain's diameter,
+        where a ray with no exit raises NumericsError.  A boundary start
+        reads 0, and a bracket from it is polished like any other.
         """
         dom = self.domain
-        speed = math.sqrt(float(v @ v))
-        if (n is not None
-                and float(np.dot(n, v)) / speed >= self.graze_threshold):
-            return 0.0
-        step = dom.march_step / speed
+        step = dom.march_step / math.sqrt(float(v @ v))
         m = math.floor(dom.diameter / dom.march_step) + 1
         if max_s < m * step:
             m = math.ceil(max_s / step)
@@ -215,21 +228,13 @@ class BilliardEngine:
             raise NumericsError("no exit within the domain's diameter")
         return None
 
-    def _start_normal(self, x, what):
-        """Unit normal at a start position x on the boundary, None inside;
-        one nearest-point solve gives the class and the normal."""
-        f, g = self.domain.xi_grad(x)
-        cls = point_class(f)
-        if cls is PointClass.OUTSIDE:
-            raise ValueError(f"{what} lies outside the closed domain")
-        return g if cls is PointClass.BOUNDARY else None
-
     def backward_exit(self, x, v):
         """(t_b, x_b): backward exit time and point; t_b = 0 on immediate exit."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        s = self._first_exit(x, -v, math.inf,
-                             self._start_normal(x, "position"))
+        n, _, leaves = start_rule(self.domain, x, -v, self.graze_threshold,
+                                  math.sqrt(float(v @ v)))
+        s = 0.0 if leaves else self._first_exit(x, -v, math.inf, n)
         return s, x - s * v
 
     def forward_exit(self, x, v):
@@ -263,11 +268,11 @@ class BilliardEngine:
         remaining = float(length)
         cap = bounce_cap(max_bounces, self.max_bounces)
         status = TrajectoryStatus.COMPLETED
-        drift_v = 0.0
-        drift_w = 0.0
+        drift_v = drift_w = 0.0
 
-        n = self._start_normal(x, "origin position")
-        if n is not None and abs(float(np.dot(n, v))) / speed0 < graze:
+        n, tangent, leaves = start_rule(dom, x, direction * v, graze, speed0,
+                                        "origin position")
+        if tangent:
             _, stop = graze_stop(dom, x, v, direction, graze)
             if stop is not None:
                 status, remaining = stop, 0.0
@@ -278,7 +283,8 @@ class BilliardEngine:
             # relative slack so a bounce landing exactly at the length budget
             # is not lost to rounding of the accumulated chord lengths
             max_s = (remaining / speed0) * (1.0 + 1e-12) + 1e-13
-            s = self._first_exit(x, ray_v, max_s, n)
+            s = 0.0 if leaves else self._first_exit(x, ray_v, max_s, n)
+            leaves = False   # a reflected ray points inward
             if s is None:
                 break  # budget exhausted in free flight
             if s * speed0 > remaining:
@@ -343,15 +349,10 @@ class BilliardEngine:
 
     def _segments(self, traj: Trajectory):
         """(t_start, x_start, v) per free-flight segment plus the time range."""
-        segs = []
-        t0 = traj.origin.t
-        x0 = traj.origin.x
-        v0 = traj.origin.v
-        for ev in traj.events:
-            segs.append((t0, x0, v0))
-            t0, x0, v0 = ev.t, ev.x, ev.v_out
-        segs.append((t0, x0, v0))
-        return segs, traj.origin.t, traj.end_state.t
+        o = traj.origin
+        segs = [(o.t, o.x, o.v)] + [(ev.t, ev.x, ev.v_out)
+                                    for ev in traj.events]
+        return segs, o.t, traj.end_state.t
 
     def trajectory_eval(self, traj: Trajectory, s):
         """(X(s), V(s)): piecewise-linear position, piecewise-constant velocity.
@@ -382,9 +383,13 @@ class BilliardEngine:
 
         The state is given in its azimuth-0 representative together with its
         unwrapped azimuth phi < 0; negative-orientation inputs are mirrored.
+        ValueError unless x lies on S0 (x[1] == 0 < x[0]).
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
+        if not (x[1] == 0.0 and x[0] > 0.0):
+            raise ValueError(f"state must lie on the half-plane S0 "
+                             f"(y = 0, x > 0), got x = {x.tolist()}")
         if angular_momentum(x, v) <= 0.0:
             raise ValueError("arrival time requires omega > 0")
         if signed_angular_momentum(x, v) < 0.0:

@@ -149,6 +149,8 @@ def classify(domain: ToroidalDomain, x, v,
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError(f"point must be a 3-vector, got shape {x.shape}")
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError(f"point must be finite, got {x.tolist()!r}")
     vx, vy, vz = np.asarray(v, dtype=float).tolist()
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     if not 0.0 < speed < math.inf:

@@ -5,6 +5,7 @@ same arguments as the function it stands in for, so a test can swap it in
 with ``monkeypatch.setattr``.
 """
 
+import mpmath
 import numpy as np
 from scipy.optimize import brentq
 
@@ -170,3 +171,26 @@ def clamped_march_xi(domain, p):
     """
     return np.maximum(type(domain).march_xi(domain, p),
                       -domain.blip_tol - 1.5 * domain.march_step)
+
+
+def ray_torus_roots(R, r, x, w, dps=50):
+    """Real roots s, ascending, of the ray-torus quartic
+    (|p|^2 + R^2 - r^2)^2 = 4 R^2 (p_x^2 + p_y^2) on the ray p = x + s w:
+    mpmath's polyroots at dps digits from the exact values of the double
+    inputs (the reference exits of the circle torus of radii R > r)."""
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(c)) for c in x]
+        w = [mpmath.mpf(float(c)) for c in w]
+        k = 4 * mpmath.mpf(R) ** 2
+        a = w[0] ** 2 + w[1] ** 2
+        b = 2 * (x[0] * w[0] + x[1] * w[1])
+        c = x[0] ** 2 + x[1] ** 2
+        # |p|^2 + R^2 - r^2 = a2 s^2 + b2 s + c2
+        a2, b2 = a + w[2] ** 2, b + 2 * x[2] * w[2]
+        c2 = c + x[2] ** 2 + mpmath.mpf(R) ** 2 - mpmath.mpf(r) ** 2
+        roots = mpmath.polyroots(
+            [a2 * a2, 2 * a2 * b2, b2 * b2 + 2 * a2 * c2 - k * a,
+             2 * b2 * c2 - k * b, c2 * c2 - k * c], maxsteps=200,
+            extraprec=2 * dps)
+        tiny = mpmath.mpf(10) ** (10 - dps)
+        return sorted(mpmath.re(s) for s in roots if abs(mpmath.im(s)) <= tiny)

@@ -382,17 +382,19 @@ EPS = (0.02, 0.01, 0.005)
 
 
 @pytest.mark.parametrize("x", [[3.0, 0.0, 0.0], [2.0, 0.0, 1.0]])
-def test_badset_rows_unmoved_by_retired_samples(circle_engine, x):
+def test_badset_rows_unmoved_by_retired_samples(circle_engine, monkeypatch,
+                                                x):
     """A sample retired once its min_nd is below the smallest delta is bad
     in every row: fraction, ci95 and near_grazing equal those of full
     traces, and the exclusive stop and cap counts are those of the full
     traces' samples that are not near-grazing."""
     x = np.array(x)
     rows = tb.badset_scan(circle_engine, x, 0.0, EPS, 5.0, 512, 3)
-    full = analysis._trace_samples(circle_engine, x, 5.0, 512, 3, 0.0)
     assert rows[-1]["near_grazing"] > 0
-    for delta, row in zip(EPS, rows):
-        assert row == analysis._badset_row(circle_engine, x, full, delta, ())
+    trace = analysis._trace_samples
+    monkeypatch.setattr(analysis, "_trace_samples",
+                        lambda *args: trace(*args[:-1], 0.0))
+    assert rows == tb.badset_scan(circle_engine, x, 0.0, EPS, 5.0, 512, 3)
 
 
 def _creep_rays(domain, per_tilt):
@@ -553,7 +555,7 @@ def test_polish_exits_raises_without_root(circle_domain):
 
 
 def test_badset_measure_deterministic(circle_engine):
-    kw = dict(x=[2.0, 0.0, 0.0], phi=0.0, eps_graze=0.05, L=5.0,
+    kw = dict(x=[2.0, 0.0, 0.0], eps_graze=0.05, L=5.0,
               n_samples=1500, seed=7)
     a = tb.badset_measure(circle_engine, **kw)
     b = tb.badset_measure(circle_engine, **kw)
@@ -566,7 +568,7 @@ def test_badset_measure_deterministic(circle_engine):
 
 
 def test_badset_measure_ring_exclusions_increase_fraction(circle_engine):
-    kw = dict(x=[2.0, 0.0, 0.0], phi=0.0, eps_graze=0.02, L=5.0,
+    kw = dict(x=[2.0, 0.0, 0.0], eps_graze=0.02, L=5.0,
               n_samples=1500, seed=7)
     plain = tb.badset_measure(circle_engine, **kw)
     ringed = tb.badset_measure(
@@ -594,7 +596,7 @@ def test_badset_scan_rows_match_measure(circle_engine, ring_kinds):
     for d, row in zip(deltas, rows):
         specs = [tb.RingSpec(k, d, tau_ref if k == "angular-momentum"
                              else None) for k in ring_kinds]
-        rep = tb.badset_measure(circle_engine, x, 0.0, d, 5.0, 1100, 3,
+        rep = tb.badset_measure(circle_engine, x, d, 5.0, 1100, 3,
                                 ring_specs=specs)
         assert row["fraction"] == rep.fraction
         assert row["ci95"] == rep.ci95
@@ -643,7 +645,7 @@ def test_badset_measure_checks_row_before_tracing(circle_engine, monkeypatch,
                                                   eps, specs):
     monkeypatch.setattr(analysis, "_trace_min_graze", _never)
     with pytest.raises((ValueError, tb.UndefinedInflectionError)):
-        tb.badset_measure(circle_engine, [2.0, 0.0, 0.0], 0.0, eps, 10.0,
+        tb.badset_measure(circle_engine, [2.0, 0.0, 0.0], eps, 10.0,
                           20_000, 0, ring_specs=specs)
 
 
@@ -678,7 +680,7 @@ def test_badset_rejects_invalid_inputs(circle_engine, x, L, delta, n, seed):
     with pytest.raises(ValueError):
         tb.badset_scan(circle_engine, x, 0.0, [delta], L, n, seed)
     with pytest.raises(ValueError):
-        tb.badset_measure(circle_engine, x, 0.0, delta, L, n, seed)
+        tb.badset_measure(circle_engine, x, delta, L, n, seed)
 
 
 # -- Jacobians -------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,7 @@ from torus_billiards import analysis
 from torus_billiards.engine import TrajectoryStatus, _wrap_pi
 
 from conftest import random_interior_states
-from oracles import bisect_exits
+from oracles import bisect_exits, ray_torus_roots
 
 TWO_PI = 2.0 * np.pi
 SQRT3 = np.sqrt(3.0)
@@ -69,16 +70,17 @@ def test_exit_near_tangential_chord(circle_domain, circle_engine):
     assert abs(float(dom.xi(xb))) < 1e-10
 
 
-def _wall_chords(domain, rng, n):
+def _wall_chords(domain, rng, n, least_a=1e-7):
     """(x, w, a, l0) of n wall chords on the convex outer side: a start x on
     the boundary, a unit direction w at |n.w| = a below the tangent plane,
-    a log-uniform in [1e-7, 1e-3], and the leading-order chord 2a/kappa_n."""
+    a log-uniform in [least_a, 1e-3], and the leading-order chord
+    2a/kappa_n."""
     m = 4 * n
     tau = domain.profile.wrap(rng.uniform(-0.8, 0.8, m)
                               * domain.markers.tau1_star)
     phi = rng.uniform(0.0, TWO_PI, m)
     theta = rng.uniform(0.0, TWO_PI, m)
-    a = 10.0 ** rng.uniform(-7.0, -3.0, m)
+    a = 10.0 ** rng.uniform(math.log10(least_a), -3.0, m)
     k1, k2 = tb.principal_curvatures(domain, tau)
     kn = k1 * np.cos(theta) ** 2 + k2 * np.sin(theta) ** 2
     u = (np.cos(theta)[:, None] * domain.phi_hat(phi)
@@ -112,6 +114,58 @@ def test_wall_chord_exits_to_rounding(request, fixture):
     tracer = analysis._polish_exits(domain, x, w, np.zeros(len(a)),
                                     np.full(len(a), domain.march_step))
     assert (np.abs(tracer - ref) <= bound / a).all()
+
+
+# exit errors of the circle torus's engines against the 50-digit ray-torus
+# quartic: a root met at |n.w| = a moves by its xi's rounding over a, so
+# every bounce point and creeping exit lies within EXIT_C eps / a of it;
+# about twice the largest error * a / eps over seeds 100-129 (bounce points
+# 4.6, creeping exits 3.1, both on the generic circle)
+EXIT_C = 10.0
+
+
+def _exit_errors(domain, seed, n_orbits=3, n_bounces=20, n_chords=12):
+    """(bounce-point errors, creeping-exit errors), each times its |n.w|,
+    in eps, of the engine on a circle torus of radii 2 and 1 against
+    ray_torus_roots.  Each orbit chord starts from the double state the
+    engine stored at its last bounce, as a restart there would; the
+    creeping chords leave the wall at |n.w| log-uniform in [1e-6, 1e-3].
+    A chord's exit is its first root beyond 1e-8, past the root of a wall
+    start (at most |xi|/|n.w|, about 1e-10)."""
+    engine = tb.BilliardEngine(domain)
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+
+    def exit_root(x, w):
+        return next(s for s in ray_torus_roots(2.0, 1.0, x, w) if s > 1e-8)
+
+    point = []
+    for x, v in random_interior_states(rng, n_orbits):
+        traj = engine.forward_cycles(tb.PhaseState(x, v), 100.0,
+                                     max_bounces=n_bounces)
+        starts = [(x, v)] + [(ev.x, ev.v_out) for ev in traj.events[:-1]]
+        for (p, w), ev in zip(starts, traj.events):
+            s = exit_root(p, w)
+            with mpmath.workdps(50):
+                err = max(abs(mpmath.mpf(float(e)) - (mpmath.mpf(float(q))
+                                                      + s * float(d)))
+                          for e, q, d in zip(ev.x, p, w))
+            point.append(float(err) * abs(ev.normal_dot) / eps)
+    x, w, a, _ = _wall_chords(domain, rng, n_chords, least_a=1e-6)
+    creep = [abs(engine.forward_exit(p, d)[0] - float(exit_root(p, d)))
+             * ai / eps for p, d, ai in zip(x, w, a)]
+    return np.array(point), np.array(creep)
+
+
+@pytest.mark.parametrize("fixture", ["circle_domain", "generic_circle_domain"])
+def test_exits_match_50_digit_quartic(request, fixture):
+    """The quadric and the generic-circle engine put every bounce of
+    seeded interior orbits, and every creeping wall exit, within EXIT_C
+    eps / |n.w| of the 50-digit root of the ray-torus quartic."""
+    point, creep = _exit_errors(request.getfixturevalue(fixture), seed=0)
+    assert point.size == 60 and creep.size == 12
+    assert point.max() <= EXIT_C
+    assert creep.max() <= EXIT_C
 
 
 # -- conservation and statuses ---------------------------------------------
@@ -364,6 +418,10 @@ def test_arrival_time_validation(circle_engine):
     with pytest.raises(ValueError):
         circle_engine.arrival_time_S0([3.0, 0.0, 0.0], 0.5,
                                       [-SQRT3 / 2, 0.5, 0.0])
+    # off S0: the time of another state was returned
+    for x in ([2.0, 0.5, 0.0], [-2.0, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            circle_engine.arrival_time_S0(x, -1.0, [0.0, 1.0, 0.3])
 
 
 # -- serialization ---------------------------------------------------------

@@ -97,6 +97,17 @@ def test_classify_rejects_a_point_that_is_not_a_3_vector(circle_domain, x):
         tb.classify(circle_domain, x, [0.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("x", [[np.nan, 0.0, 0.0], [3.0, 0.0, np.inf]])
+def test_classify_rejects_a_point_that_is_not_finite(circle_domain, x):
+    """A non-finite point raises ValueError before its foot solve: it
+    warned from xi_grad and raised NumericsError ("bounce point off the
+    boundary: xi = nan")."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            tb.classify(circle_domain, x, [0.0, 1.0, 0.0])
+
+
 def test_inflection_directions_circle(circle_domain):
     tau = 2 * np.pi / 3
     d = tb.inflection_directions(circle_domain, tau, 0.0)
